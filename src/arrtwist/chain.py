@@ -3,10 +3,13 @@
 A complex is a finite sequence of free-module ranks together with boundary
 matrices ``d_q : C_q -> C_{q-1}``; the constructor refuses data with
 ``d_q . d_{q+1} != 0``.  Homology is reported as a free rank plus a torsion
-divisor chain (empty over fields).  Two complexes over the same PID with
-equal rank sequences are isomorphic as chain complexes exactly when the
-Smith divisor chains of their boundaries match degree by degree, which is
-what :func:`decide_isomorphic` checks.
+divisor chain (empty over fields).  Each boundary is eliminated at most once
+and the result cached on the complex: over a PID (Z, K[t,t^-1]) by its Smith
+form, whose divisor count is the rank and whose non-unit divisors are the
+torsion; over a field by fraction-free (Bareiss) rank.  Two complexes over
+the same PID with equal rank sequences are isomorphic as chain complexes
+exactly when the Smith divisor chains of their boundaries match degree by
+degree, which is what :func:`decide_isomorphic` checks.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class FreeChainComplex:
     2
     """
 
-    __slots__ = ("ring", "ranks", "boundaries")
+    __slots__ = ("ring", "ranks", "boundaries", "_eliminations")
 
     def __init__(self, ring: Ring, ranks, boundaries, check=True):
         self.ring = ring
@@ -80,6 +83,7 @@ class FreeChainComplex:
                 prod = self.boundaries[q - 1] * self.boundaries[q]
                 if not prod.is_zero():
                     raise ValueError(f"d_{q} . d_{q+1} != 0: not a chain complex")
+        self._eliminations = [None] * len(self.boundaries)
 
     @property
     def top(self):
@@ -93,19 +97,47 @@ class FreeChainComplex:
         target = self.ranks[q - 1] if 0 <= q - 1 <= self.top else 0
         return Matrix.zero(self.ring, target, source)
 
+    def _elimination(self, q):
+        """(rank, non-unit Smith divisors) of d_q, computed on first use.
+
+        Over a field the divisors are empty and the rank is Bareiss; over a
+        PID one Smith form gives both.  Zero maps outside 1..top need none.
+        """
+        if not 1 <= q <= self.top:
+            return 0, ()
+        found = self._eliminations[q - 1]
+        if found is None:
+            d = self.boundaries[q - 1]
+            if self.ring.is_field:
+                found = (rank(d), ())
+            else:
+                form = smith_normal_form(d)
+                found = (form.rank, form.nontrivial(self.ring))
+            self._eliminations[q - 1] = found
+        return found
+
+    def boundary_rank(self, q) -> int:
+        """Rank of d_q over the fraction field (0 outside 1..top)."""
+        return self._elimination(q)[0]
+
+    def cokernel(self, q) -> Homology:
+        """Free rank and torsion of coker d_q = C_(q-1) / im d_q."""
+        rk, torsion = self._elimination(q)
+        target = self.ranks[q - 1] if 0 <= q - 1 <= self.top else 0
+        return Homology(target - rk, torsion)
+
     def homology(self, q) -> Homology:
         """Free rank and torsion of H_q.
 
         free rank = ranks[q] - rank d_q - rank d_{q+1}; the torsion divisors
-        are the non-unit Smith divisors of d_{q+1}.
+        are the non-unit Smith divisors of d_{q+1}.  Both come from the
+        cached elimination of each boundary, so the homology of every degree
+        eliminates each boundary once in total.
         """
         if not 0 <= q <= self.top:
             raise DegreeOutOfRange(f"degree {q} not in 0..{self.top}")
-        free = self.ranks[q] - rank(self.boundary(q)) - rank(self.boundary(q + 1))
-        if self.ring.is_field or q == self.top:
-            return Homology(free)
-        form = smith_normal_form(self.boundary(q + 1))
-        return Homology(free, form.nontrivial(self.ring))
+        rank_next, torsion = self._elimination(q + 1)
+        return Homology(self.ranks[q] - self.boundary_rank(q) - rank_next, torsion)
 
     def homology_all(self):
         return {q: self.homology(q) for q in range(self.top + 1)}

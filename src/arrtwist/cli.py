@@ -27,10 +27,11 @@ from .arrangement import (
 from .chain import FreeChainComplex, decide_isomorphic
 from .fox import GroupPresentation, NotMeridianMarked, RelatorNotKilled, alexander_complex
 from .koszul import (
+    Disagreement,
     UnitAssignment,
+    check_generic_position,
     complete_homology_generic_position,
     generic_range_homology,
-    pi_p_presentation_boolean,
 )
 from .milnor import MilnorSpectrum, obstruction_report, spectrum_from_presentation
 from .rings import (
@@ -46,12 +47,10 @@ from .tower import (
     TowerCharacter,
     TowerInvalid,
     TowerSpec,
+    boolean_pi_rank,
     build_tower_complex,
     check_tower,
     pi_p_presentation_fibertype,
-    rank_formula_general,
-    rank_formula_nonresonant,
-    tor_groups,
 )
 
 SCHEMA_VERSION = 1
@@ -250,45 +249,26 @@ def cmd_pi_rank(args):
             "matrix_shape": [ps.matrix.nrows, ps.matrix.ncols],
         }
     arr = Arrangement.from_json(_load(args.arrangement))
-    ch = _character(arr, args.weights)
-    ps = pi_p_presentation_boolean(arr, ch)
-    p = arr.r - 1
-    # independent formula path for the same rank: needs Tor_q for q = 0..r
-    u = UnitAssignment.from_character(ch)
-    res = complete_homology_generic_position(arr, u)
-    from .koszul import build_koszul
-
-    full = build_koszul(u)
-    tor_full = [full.homology(q).free_rank if q <= full.top else 0 for q in range(arr.r + 1)]
-    formula = rank_formula_general(res.chi, arr.r, tor_full)
+    pi = boolean_pi_rank(arr, _character(arr, args.weights))
+    ps = pi.presentation
     report = {
         "path": "boolean",
-        "p": p,
+        "p": pi.p,
         "rank": ps.cokernel.free_rank,
         "invariant_factors": [ps.ring.format(d) for d in ps.cokernel.torsion],
         "matrix_shape": [ps.matrix.nrows, ps.matrix.ncols],
-        "rank_formula": formula,
+        "rank_formula": pi.formula,
     }
-    if formula != ps.cokernel.free_rank:
-        from .koszul import Disagreement
-
+    if pi.formula != ps.cokernel.free_rank:
         raise Disagreement(
-            f"cokernel rank {ps.cokernel.free_rank} != formula value {formula}"
+            f"cokernel rank {ps.cokernel.free_rank} != formula value {pi.formula}"
         )
-    nonres, _ = arr.is_nonresonant(ch)
-    report["nonresonant"] = nonres
-    if nonres:
-        from math import comb
-
-        rc = rank_formula_nonresonant(
-            res.chi, arr.r, arr.n + 1, b_r_pi=comb(arr.n, arr.r)
-        )
-        report["nonresonant_formula"] = rc["rank"]
-        if rc["rank"] != ps.cokernel.free_rank:
-            from .koszul import Disagreement
-
+    report["nonresonant"] = pi.nonresonant
+    if pi.nonresonant:
+        report["nonresonant_formula"] = pi.nonresonant_rank
+        if pi.nonresonant_rank != ps.cokernel.free_rank:
             raise Disagreement(
-                f"nonresonant formula {rc['rank']} != rank {ps.cokernel.free_rank}"
+                f"nonresonant formula {pi.nonresonant_rank} != rank {ps.cokernel.free_rank}"
             )
     return report
 
@@ -305,41 +285,28 @@ def cmd_crosscheck(args):
     arr = Arrangement.from_json(_load(args.arrangement))
     ch = _character(arr, args.weights)
     u = UnitAssignment.from_character(ch)
-    checks = []
-    res = complete_homology_generic_position(arr, u)  # asserts its own two paths
-    checks.append(
+    check_generic_position(arr, u)  # the homology route's refusals come first
+    pi = boolean_pi_rank(arr, ch)
+    res = pi.homology  # asserts its own two paths
+    rank = pi.presentation.cokernel.free_rank
+    checks = [
         {
             "name": "top-degree homology: kappa formula vs kernel rank",
             "values": [res.top_rank_formula, res.top_rank_direct],
             "agree": True,
-        }
-    )
-    ps = pi_p_presentation_boolean(arr, ch)
-    from .koszul import build_koszul
-
-    full = build_koszul(u)
-    tor_full = [full.homology(q).free_rank for q in range(arr.r + 1)]
-    formula = rank_formula_general(res.chi, arr.r, tor_full)
-    agree = formula == ps.cokernel.free_rank
-    checks.append(
+        },
         {
             "name": "pi_p rank: cokernel vs Euler-characteristic formula",
-            "values": [ps.cokernel.free_rank, formula],
-            "agree": agree,
-        }
-    )
-    nonres, _ = arr.is_nonresonant(ch)
-    if nonres:
-        from math import comb
-
-        rc = rank_formula_nonresonant(
-            res.chi, arr.r, arr.n + 1, b_r_pi=comb(arr.n, arr.r)
-        )
+            "values": [rank, pi.formula],
+            "agree": pi.formula == rank,
+        },
+    ]
+    if pi.nonresonant:
         checks.append(
             {
                 "name": "pi_p rank: nonresonant combinatorial value",
-                "values": [ps.cokernel.free_rank, rc["rank"]],
-                "agree": rc["rank"] == ps.cokernel.free_rank,
+                "values": [rank, pi.nonresonant_rank],
+                "agree": pi.nonresonant_rank == rank,
             }
         )
     if args.presentation:
@@ -347,7 +314,7 @@ def cmd_crosscheck(args):
         ring = u.ring
         units = [ring.t(ch[i]) for i in range(1, arr.n + 1)]
         ac = alexander_complex(pres, units, ring)
-        rng = generic_range_homology(arr, u)
+        rng = generic_range_homology(arr, u, pi.complex)
         for q in (0, 1):
             if q in rng.entries:
                 ha, hb = ac.homology(q), rng.entries[q]
@@ -359,8 +326,6 @@ def cmd_crosscheck(args):
                     }
                 )
     if not all(c["agree"] for c in checks):
-        from .koszul import Disagreement
-
         raise Disagreement(json.dumps(checks))
     return {"checks": checks, "all_agree": True}
 
@@ -387,13 +352,6 @@ def build_parser():
                 },
             }
         ),
-    )
-    ap.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for property-test harness randomization; computation "
-        "results never depend on it",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -22,7 +22,9 @@ from math import comb, inf
 
 from .arrangement import Arrangement, Character, GirthTooSmall, NotGenericPosition
 from .chain import FreeChainComplex, Homology
-from .linalg import Matrix, rank, smith_normal_form
+# ``rank`` is no longer called here but stays importable as ``koszul.rank``:
+# the benchmark's tracer self-test (bench/test_bench.py) checks that binding.
+from .linalg import Matrix, rank  # noqa: F401
 from .rings import LaurentRing, Ring, UnsupportedRing
 
 
@@ -137,12 +139,16 @@ class RangeHomology:
         return self.entries[q]
 
 
-def generic_range_homology(arr: Arrangement, u: UnitAssignment) -> RangeHomology:
+def generic_range_homology(
+    arr: Arrangement, u: UnitAssignment, full: FreeChainComplex = None
+) -> RangeHomology:
     """H_q(M(A); L) for q < c - 2, straight from the Z^n complex.
 
     Valid because in that range the homology depends only on the module and
     on n; for c = inf the arrangement is Boolean and every degree counts
-    (reported with a note)."""
+    (reported with a note).  ``full``, the untruncated complex of ``u``, is
+    read instead of building the truncation when the caller already has it:
+    the two agree in every degree reported here."""
     if u.n != arr.n:
         raise ValueError(f"unit assignment has n={u.n}, arrangement has n={arr.n}")
     c = arr.girth()
@@ -157,7 +163,7 @@ def generic_range_homology(arr: Arrangement, u: UnitAssignment) -> RangeHomology
         limit = c - 2
         note = ""
     complex_top = min(arr.n, limit)
-    cx = build_koszul(u, complex_top)
+    cx = build_koszul(u, complex_top) if full is None else full
     entries = {q: cx.homology(q) for q in range(min(limit, complex_top + 1))}
     return RangeHomology(entries, c, limit, note)
 
@@ -193,8 +199,29 @@ class CompleteHomology:
         raise KeyError(q)
 
 
+def check_generic_position(arr: Arrangement, u: UnitAssignment):
+    """Refuse the inputs :func:`complete_homology_generic_position` cannot
+    handle: no generic position, a unit count other than n, or coefficients
+    other than a Laurent character or a module over a field."""
+    _, is_gp = arr.generic_position_profile()
+    if not is_gp:
+        raise NotGenericPosition(
+            "complete computation needs c = r + 1 with n + 1 > r"
+        )
+    if u.n != arr.n:
+        raise ValueError(f"unit assignment has n={u.n}, arrangement has n={arr.n}")
+    ring = u.ring
+    if isinstance(ring, LaurentRing):
+        if u.module_rank != 1:
+            raise UnsupportedRing(
+                "Laurent coefficients support rank-one (character) modules only"
+            )
+    elif not ring.is_field:
+        raise UnsupportedRing("coefficients must be K[t,t^-1] or a field module")
+
+
 def complete_homology_generic_position(
-    arr: Arrangement, u: UnitAssignment
+    arr: Arrangement, u: UnitAssignment, full: FreeChainComplex = None
 ) -> CompleteHomology:
     """Twisted homology of a generic-position arrangement in all degrees.
 
@@ -206,26 +233,13 @@ def complete_homology_generic_position(
         kappa = sum_(q=0)^(r-2) (-1)^q rank H_q,
 
     and the two must agree (Disagreement otherwise).  Degrees above r-1
-    vanish.
+    vanish.  ``full`` is the untruncated complex of ``u`` when the caller
+    already built it; its cached eliminations are reused.
     """
-    p, is_gp = arr.generic_position_profile()
-    if not is_gp:
-        raise NotGenericPosition(
-            "complete computation needs c = r + 1 with n + 1 > r"
-        )
-    if u.n != arr.n:
-        raise ValueError(f"unit assignment has n={u.n}, arrangement has n={arr.n}")
-    ring = u.ring
-    laurent_case = isinstance(ring, LaurentRing)
-    if laurent_case and u.module_rank != 1:
-        raise UnsupportedRing(
-            "Laurent coefficients support rank-one (character) modules only"
-        )
-    if not laurent_case and not ring.is_field:
-        raise UnsupportedRing("coefficients must be K[t,t^-1] or a field module")
+    check_generic_position(arr, u)
     r = arr.r
-    n = arr.n
-    full = build_koszul(u, n)
+    if full is None:
+        full = build_koszul(u, arr.n)
     entries = {}
     kappa = 0
     for q in range(r - 1):
@@ -236,7 +250,7 @@ def complete_homology_generic_position(
     d = u.module_rank
     formula = (-1) ** (r - 1) * (d * chi - kappa)
     # direct path: H_(r-1) of the truncation at r-1 is the kernel of d_(r-1)
-    direct = full.ranks[r - 1] - rank(full.boundary(r - 1))
+    direct = full.ranks[r - 1] - full.boundary_rank(r - 1)
     if formula != direct:
         raise Disagreement(
             f"top homology rank: formula gives {formula}, kernel gives {direct}"
@@ -249,7 +263,7 @@ def complete_homology_generic_position(
         kappa,
         formula,
         direct,
-        "laurent" if laurent_case else "field",
+        "laurent" if isinstance(u.ring, LaurentRing) else "field",
     )
 
 
@@ -263,6 +277,22 @@ class PresentationSummary:
         self.cokernel = cokernel
         self.ring = ring
 
+    @classmethod
+    def of_boundary(cls, cx: FreeChainComplex, q) -> "PresentationSummary":
+        """d_q of ``cx`` with its cokernel, read from the cached elimination."""
+        return cls(cx.boundary(q), cx.cokernel(q), cx.ring)
+
+
+def boolean_units(arr: Arrangement, character: Character, base_field=None):
+    """(p, units t^(gamma_i)) for a character of a generic-position
+    arrangement with Boolean ambient; refuses everything else."""
+    p, is_gp = arr.generic_position_profile()
+    if not is_gp:
+        raise NotGenericPosition("needs generic position (c = r + 1, n + 1 > r)")
+    if len(character) != arr.n + 1:
+        raise ValueError(f"need {arr.n + 1} weights")
+    return p, UnitAssignment.from_character(character, base_field)
+
 
 def pi_p_presentation_boolean(
     arr: Arrangement, character: Character, base_field=None
@@ -271,19 +301,9 @@ def pi_p_presentation_boolean(
     for generic-position arrangements with Boolean ambient.
 
     The presentation matrix is the (p+2)-nd boundary of the Z^n complex with
-    units t^(gamma_i); the cokernel summary lists its free rank over K[t,t^-1]
-    and the non-unit invariant factors.
+    units t^(gamma_i) (a zero-column matrix when p + 2 > n); the cokernel
+    summary lists its free rank over K[t,t^-1] and the non-unit invariant
+    factors.
     """
-    p, is_gp = arr.generic_position_profile()
-    if not is_gp:
-        raise NotGenericPosition("needs generic position (c = r + 1, n + 1 > r)")
-    if len(character) != arr.n + 1:
-        raise ValueError(f"need {arr.n + 1} weights")
-    u = UnitAssignment.from_character(character, base_field)
-    top = min(p + 2, arr.n)
-    cx = build_koszul(u, top)
-    mat = cx.boundary(p + 2)  # zero-column matrix when p + 2 > n
-    form = smith_normal_form(mat)
-    free = mat.nrows - form.rank
-    coker = Homology(free, form.nontrivial(u.ring))
-    return PresentationSummary(mat, coker, u.ring)
+    p, u = boolean_units(arr, character, base_field)
+    return PresentationSummary.of_boundary(build_koszul(u, min(p + 2, arr.n)), p + 2)

@@ -1,9 +1,11 @@
 """Dense exact linear algebra over the rings of :mod:`arrtwist.rings`.
 
-Ranks are computed by fraction-free (Bareiss) elimination, so they are exact
-over any integral domain here, including Laurent rings.  Smith normal forms
-use the classical elementary-operation algorithm over a Euclidean ring with
-smallest-size pivoting; divisors are reported as canonical associates
+:func:`rank` is fraction-free (Bareiss) elimination, exact over any integral
+domain here, including Laurent rings; chain complexes use it over fields and
+otherwise read ranks from the Smith form, which is far cheaper on Laurent
+boundaries (see :mod:`arrtwist.chain`).  Smith normal forms use the classical
+elementary-operation algorithm over a Euclidean ring with smallest-size
+pivoting; divisors are reported as canonical associates
 (positive over Z, valuation-0 monic over K[t,t^-1]).  Kernel bases come from
 the tracked right transform of the Smith form, which over a PID yields a
 basis of the kernel of the map of free modules (automatically saturated).

@@ -17,6 +17,7 @@ arrangement realizing it.
 from __future__ import annotations
 
 from .fox import GroupPresentation, NotMeridianMarked, alexander_complex
+from .koszul import Disagreement
 from .rings import QQ, CyclotomicField
 
 
@@ -90,7 +91,7 @@ def obstruction_report(spectrum: MilnorSpectrum) -> dict:
     divides = spectrum.b1_total % n == 0 if n else True
     # constant tail => total = n(1 + c), so divisibility follows; check.
     if constant_tail and not divides:
-        raise AssertionError("internal inconsistency: constant tail must divide")
+        raise Disagreement("internal inconsistency: constant tail must divide")
     obstructed = not (constant_tail and divides)
     report = {
         "n": n,

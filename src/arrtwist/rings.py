@@ -110,7 +110,8 @@ def cyclotomic_poly(d: int) -> tuple:
     for e in range(1, d):
         if d % e == 0:
             num, rem = _poly_divmod(num, cyclotomic_poly(e))
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"Phi_{e} does not divide t^{d} - 1")
     return num
 
 
@@ -287,7 +288,8 @@ class CyclotomicElement:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             u0, u1 = u1, _poly_add(u0, _poly_scale(_poly_mul(q, u1), -1))
-        assert len(r0) == 1  # gcd is a nonzero constant: Phi_d is irreducible
+        if len(r0) != 1:  # Phi_d is irreducible, so only a multiple of it fails
+            raise ZeroDivisionError(f"not invertible in Q(zeta_{self.d})")
         return CyclotomicElement(self.d, _poly_scale(u0, Fraction(1) / r0[0]))
 
     def __truediv__(self, other):
@@ -594,7 +596,6 @@ class IntegerRing(Ring):
             else:
                 r += abs(b)
                 q -= 1 if b > 0 else -1
-        assert a == q * b + r
         return q, r
 
     def canonical(self, a):

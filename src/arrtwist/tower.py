@@ -29,12 +29,18 @@ with the presentation complex) that gate pins all sign and side conventions.
 from __future__ import annotations
 
 import json
-from math import prod
+from math import comb, prod
 
-from .chain import FreeChainComplex, Homology
+from .chain import FreeChainComplex
 from .fox import FreeWord, fox_derivative
-from .koszul import Disagreement, PresentationSummary
-from .linalg import Matrix, smith_normal_form
+from .koszul import (
+    Disagreement,
+    PresentationSummary,
+    boolean_units,
+    build_koszul,
+    complete_homology_generic_position,
+)
+from .linalg import Matrix
 from .rings import LaurentRing, QQ
 
 
@@ -297,6 +303,7 @@ class _Evaluator:
         self.ring = ring or LaurentRing(QQ)
         self._rho_cache = {}
         self._word_cache = {}
+        self._pieces_cache = {}
 
     def size(self, chain):
         return prod(self.tw.d(j) for j in chain)
@@ -356,9 +363,7 @@ class _Evaluator:
         """(block ranks, scalar boundaries) of the level-<=j sub-tower with
         coefficients twisted through ``chain``; block size = size(chain)."""
         key = (j, chain)
-        cache = getattr(self, "_pieces_cache", None)
-        if cache is None:
-            cache = self._pieces_cache = {}
+        cache = self._pieces_cache
         if key in cache:
             return cache[key]
         s = self.size(chain)
@@ -477,10 +482,7 @@ def pi_p_presentation_fibertype(
         raise DegreeUnavailable(
             f"complex has top degree {cx.top}; boundary {p + 2} does not exist"
         )
-    mat = cx.boundary(p + 2)
-    form = smith_normal_form(mat)
-    coker = Homology(mat.nrows - form.rank, form.nontrivial(cx.ring))
-    return PresentationSummary(mat, coker, cx.ring)
+    return PresentationSummary.of_boundary(cx, p + 2)
 
 
 def rank_formula_general(chi: int, r: int, tor_ranks) -> int:
@@ -527,3 +529,62 @@ def rank_formula_nonresonant(chi: int, r: int, m: int, b_r_pi=None, exponents=No
                     f"{out['exponent_product']}"
                 )
     return out
+
+
+class BooleanPiRank:
+    """The pi_p rank of a generic-position arrangement with Boolean ambient
+    by three routes, all read from one Z^n complex.
+
+    ``presentation`` is d_(p+2) with its cokernel; ``formula`` is
+    :func:`rank_formula_general` on the Tor ranks of the complex;
+    ``nonresonant_rank`` is the combinatorial value, or None when the
+    character is resonant.  ``homology`` is the complete twisted homology and
+    ``complex`` the untruncated complex all of them were read from.
+    """
+
+    __slots__ = (
+        "p",
+        "presentation",
+        "homology",
+        "formula",
+        "nonresonant",
+        "nonresonant_rank",
+        "complex",
+    )
+
+    def __init__(self, p, presentation, homology, formula,
+                 nonresonant, nonresonant_rank, complex):
+        self.p = p
+        self.presentation = presentation
+        self.homology = homology
+        self.formula = formula
+        self.nonresonant = nonresonant
+        self.nonresonant_rank = nonresonant_rank
+        self.complex = complex
+
+
+def boolean_pi_rank(arr, character) -> BooleanPiRank:
+    """Every route to the pi_p rank of a generic-position arrangement with
+    Boolean ambient, from a single build of the full Z^n complex.
+
+    The complex's per-boundary cache means each boundary is eliminated once
+    for the presentation, the complete homology and the Tor ranks together.
+    The routes are returned, not compared: callers decide how to report a
+    disagreement.
+    """
+    p, u = boolean_units(arr, character)
+    full = build_koszul(u)
+    presentation = PresentationSummary.of_boundary(full, p + 2)
+    homology = complete_homology_generic_position(arr, u, full)
+    tor_ranks = [full.homology(q).free_rank for q in range(arr.r + 1)]
+    formula = rank_formula_general(homology.chi, arr.r, tor_ranks)
+    nonresonant, _ = arr.is_nonresonant(character)
+    nonresonant_rank = None
+    if nonresonant:
+        nonresonant_rank = rank_formula_nonresonant(
+            homology.chi, arr.r, arr.n + 1, b_r_pi=comb(arr.n, arr.r)
+        )["rank"]
+    return BooleanPiRank(
+        p, presentation, homology, formula,
+        nonresonant, nonresonant_rank, full,
+    )

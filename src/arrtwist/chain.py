@@ -139,9 +139,6 @@ class FreeChainComplex:
         rank_next, torsion = self._elimination(q + 1)
         return Homology(self.ranks[q] - self.boundary_rank(q) - rank_next, torsion)
 
-    def homology_all(self):
-        return {q: self.homology(q) for q in range(self.top + 1)}
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * r for q, r in enumerate(self.ranks))
 

@@ -49,7 +49,6 @@ from .tower import (
     TowerSpec,
     boolean_pi_rank,
     build_tower_complex,
-    check_tower,
     pi_p_presentation_fibertype,
 )
 
@@ -191,11 +190,7 @@ def cmd_homology_fox(args):
 
 
 def cmd_homology_tower(args):
-    tw = TowerSpec.from_json(_load(args.tower))
-    ch = _tower_character(tw, args)
-    report = check_tower(tw)
-    if not report["valid"]:
-        raise TowerInvalid(json.dumps(report))
+    tw, ch = _tower(args)
     cx = build_tower_complex(tw, ch)
     max_q = cx.top if args.max_q is None else min(args.max_q, cx.top)
     tor = {q: cx.homology(q) for q in range(max_q + 1)}
@@ -207,14 +202,16 @@ def cmd_homology_tower(args):
     }
 
 
-def _tower_character(tw, args):
+def _tower(args):
+    """(spec, character) from one read of the tower file; --weights wins."""
     data = json.loads(_load(args.tower))
+    tw = TowerSpec.from_json(data)
     named = dict(data.get("weights") or {})
     if args.weights:
         for item in str(args.weights).split(","):
             name, _, val = item.partition("=")
             named[name.strip()] = int(val)
-    return TowerCharacter.from_names(tw, named)
+    return tw, TowerCharacter.from_names(tw, named)
 
 
 def cmd_milnor_spectrum(args):
@@ -228,6 +225,8 @@ def cmd_milnor_obstruct(args):
         values = _weights(args.spectrum)
         n = args.n if args.n is not None else len(values) - 1
         spec = MilnorSpectrum(n, values)
+    elif args.presentation is None:
+        raise ValueError("milnor obstruct needs --spectrum or --presentation")
     else:
         pres = GroupPresentation.from_json(_load(args.presentation))
         spec = spectrum_from_presentation(pres)
@@ -236,8 +235,7 @@ def cmd_milnor_obstruct(args):
 
 def cmd_pi_rank(args):
     if args.tower:
-        tw = TowerSpec.from_json(_load(args.tower))
-        ch = _tower_character(tw, args)
+        tw, ch = _tower(args)
         if args.p is None:
             raise ValueError("--p is required with --tower")
         ps = pi_p_presentation_fibertype(tw, args.p, ch)
@@ -248,6 +246,8 @@ def cmd_pi_rank(args):
             "invariant_factors": [ps.ring.format(d) for d in ps.cokernel.torsion],
             "matrix_shape": [ps.matrix.nrows, ps.matrix.ncols],
         }
+    if args.arrangement is None:
+        raise ValueError("pi rank needs --arrangement or --tower")
     arr = Arrangement.from_json(_load(args.arrangement))
     pi = boolean_pi_rank(arr, _character(arr, args.weights))
     ps = pi.presentation
@@ -421,12 +421,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         report = args.fn(args)
-    except REFUSALS as e:
+    except REFUSALS + INPUT_ERRORS as e:  # a refusal may subclass an input error
         print(json.dumps({"error": type(e).__name__, "reason": str(e)}, indent=2))
-        return 2
-    except INPUT_ERRORS as e:
-        print(json.dumps({"error": type(e).__name__, "reason": str(e)}, indent=2))
-        return 1
+        return 2 if isinstance(e, REFUSALS) else 1
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

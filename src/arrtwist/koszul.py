@@ -111,15 +111,8 @@ def build_koszul(u: UnitAssignment, top_degree=None) -> FreeChainComplex:
         for col_block, s in enumerate(cols):
             for r_pos, gen in enumerate(s):
                 rest = s[:r_pos] + s[r_pos + 1 :]
-                row_block = rows_ix[rest]
-                sign = 1 if r_pos % 2 == 0 else -1
-                block = u.slot_block(gen)
-                for a in range(d):
-                    for b in range(d):
-                        v = block[a, b]
-                        if sign < 0:
-                            v = -v
-                        mat.rows[row_block * d + a][col_block * d + b] = v
+                mat.paste(rows_ix[rest] * d, col_block * d, u.slot_block(gen),
+                          negate=r_pos % 2 == 1)
         boundaries.append(mat)
     return FreeChainComplex(ring, ranks, boundaries)
 

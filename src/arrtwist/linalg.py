@@ -10,8 +10,9 @@ pivoting; divisors are reported as canonical associates
 the tracked right transform of the Smith form, which over a PID yields a
 basis of the kernel of the map of free modules (automatically saturated).
 
-Matrices are immutable-by-convention dense row-major arrays; everything is
-desk scale, so no sparsity.
+Matrices are immutable-by-convention dense row-major arrays, except that
+:meth:`Matrix.paste` writes blocks into one still being assembled;
+everything is desk scale, so no sparsity.
 """
 
 from __future__ import annotations
@@ -55,14 +56,6 @@ class Matrix:
         z, o = ring.zero, ring.one
         return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_entries(cls, ring, nrows, ncols, entries):
-        """Build from a {(i, j): scalar} mapping; unset entries are zero."""
-        m = cls.zero(ring, nrows, ncols)
-        for (i, j), v in entries.items():
-            m.rows[i][j] = ring.coerce(v)
-        return m
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -70,13 +63,18 @@ class Matrix:
     def copy(self):
         return Matrix(self.ring, [r[:] for r in self.rows], self.nrows, self.ncols)
 
-    def transpose(self):
-        return Matrix(
-            self.ring,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.ncols,
-            self.nrows,
-        )
+    def paste(self, row0, col0, block, negate=False):
+        """Write ``block`` (or its negative) into this matrix in place, with
+        its top-left entry at (row0, col0).  Entries are copied, so later
+        changes to ``block`` do not reach this matrix."""
+        self._check_compat(block)
+        if not (0 <= row0 <= self.nrows - block.nrows
+                and 0 <= col0 <= self.ncols - block.ncols):
+            raise ValueError("block does not fit at this offset")
+        for i, row in enumerate(block.rows):
+            self.rows[row0 + i][col0 : col0 + block.ncols] = (
+                [-x for x in row] if negate else row
+            )
 
     def is_zero(self):
         return all(self.ring.is_zero(x) for r in self.rows for x in r)
@@ -176,7 +174,8 @@ class Matrix:
         n = self.nrows
         if R.is_field:
             # Gauss-Jordan on an augmented matrix.
-            a = [self.rows[i][:] + Matrix.identity(R, n).rows[i] for i in range(n)]
+            eye = Matrix.identity(R, n).rows
+            a = [row + e for row, e in zip(self.rows, eye)]
             for c in range(n):
                 piv = next((i for i in range(c, n) if not R.is_zero(a[i][c])), None)
                 if piv is None:
@@ -467,7 +466,3 @@ def kernel_basis(m: Matrix) -> Matrix:
     form = smith_normal_form(m, transforms=True)
     cols = list(range(form.rank, m.ncols))
     return form.right.submatrix(range(m.ncols), cols)
-
-
-def nullity(m: Matrix) -> int:
-    return m.ncols - rank(m)

@@ -29,6 +29,7 @@ with the presentation complex) that gate pins all sign and side conventions.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from math import comb, prod
 
 from .chain import FreeChainComplex
@@ -73,8 +74,10 @@ class TowerSpec:
                 self.names[j] = list(given)
             else:
                 self.names[j] = [f"g{j}_{k + 1}" for k in range(self.d(j))]
-        flat = [nm for j in self.levels() for nm in self.names[j]]
-        if len(set(flat)) != len(flat):
+        self.index = {  # name -> (level, idx)
+            nm: (j, a) for j in self.levels() for a, nm in enumerate(self.names[j])
+        }
+        if len(self.index) != sum(self.exponents):
             raise TowerInvalid("generator names must be globally unique")
         self.monodromy = {}
         for key, words in (monodromy or {}).items():
@@ -124,17 +127,13 @@ class TowerSpec:
         """A word across levels: space-separated globally unique names with
         optional -1 suffixes, e.g. 'y1 x2-1'.  Returns ((level, idx), sign)
         pairs."""
-        lookup = {}
-        for j in self.levels():
-            for a, nm in enumerate(self.names[j]):
-                lookup[nm] = (j, a)
         out = []
         for tok in str(text).split():
             inv = tok.endswith("-1")
             nm = tok[:-2] if inv else tok
-            if nm not in lookup:
+            if nm not in self.index:
                 raise ValueError(f"unknown generator {nm!r}")
-            out.append((lookup[nm], -1 if inv else 1))
+            out.append((self.index[nm], -1 if inv else 1))
         return out
 
     def poincare_coefficients(self):
@@ -166,18 +165,13 @@ class TowerSpec:
                 names[j] = list(given)
         tmp = cls(exps, names=names)  # names resolved; now parse monodromy
         mono = {}
-        lookup = {}
-        for j in tmp.levels():
-            for a, nm in enumerate(tmp.names[j]):
-                lookup[nm] = (j, a)
         for level_key, per_gen in (data.get("monodromy") or {}).items():
             j = int(str(level_key).split("_")[-1])
             for gen_name, words in per_gen.items():
-                if gen_name not in lookup:
+                if gen_name not in tmp.index:
                     raise TowerInvalid(f"unknown generator {gen_name!r} in monodromy")
-                mono[(j, lookup[gen_name])] = words
-        tw = cls(exps, monodromy=mono, names=tmp.names)
-        return tw
+                mono[(j, tmp.index[gen_name])] = words
+        return cls(exps, monodromy=mono, names=tmp.names)
 
     def to_json(self):
         mono = {}
@@ -219,15 +213,11 @@ class TowerCharacter:
 
     @classmethod
     def from_names(cls, tw: TowerSpec, named):
-        lookup = {}
-        for j in tw.levels():
-            for a, nm in enumerate(tw.names[j]):
-                lookup[nm] = (j, a)
         w = {}
         for nm, v in named.items():
-            if nm not in lookup:
+            if nm not in tw.index:
                 raise ValueError(f"unknown generator {nm!r}")
-            w[lookup[nm]] = int(v)
+            w[tw.index[nm]] = int(v)
         return cls(w)
 
     def of(self, gen):
@@ -258,27 +248,20 @@ def check_tower(tw: TowerSpec):
                 )
     relator_bad = []
     if not homology_bad:
-        probes = [
-            TowerCharacter({g: p for g, p in zip(tw.generators(), _PRIMES)}),
-            TowerCharacter({g: p for g, p in zip(tw.generators(), _PRIMES[::-1])}),
-        ]
-        for ch in probes:
-            ev = _Evaluator(tw, ch)
-            for j in tw.levels():
-                for i in tw.levels():
-                    for ip in tw.levels():
-                        if not (i < ip < j):
-                            continue
-                        for a in range(tw.d(i)):
-                            for b in range(tw.d(ip)):
-                                y, z = (i, a), (ip, b)
-                                lhs = ev.rho_word([(y, 1), (z, 1)], (j,))
-                                conj = tw.action(ip, y)[b]  # alpha_y(z), level-ip word
-                                rhs = ev.rho_level_word(conj, ip, (j,)) * ev.rho_letter(y, 1, (j,))
-                                if lhs != rhs:
-                                    viol = {"level": j, "pair": (tw.name(y), tw.name(z))}
-                                    if viol not in relator_bad:
-                                        relator_bad.append(viol)
+        for primes in (_PRIMES, _PRIMES[::-1]):  # two probe characters
+            ev = _Evaluator(tw, TowerCharacter(dict(zip(tw.generators(), primes))))
+            for j in tw.levels():  # level-major, so the report order is fixed
+                for i, ip in combinations(range(2, j), 2):
+                    for a in range(tw.d(i)):
+                        for b in range(tw.d(ip)):
+                            y, z = (i, a), (ip, b)
+                            lhs = ev.rho_word([(y, 1), (z, 1)], (j,))
+                            conj = tw.action(ip, y)[b]  # alpha_y(z), level-ip word
+                            rhs = ev.rho_level_word(conj, ip, (j,)) * ev.rho_letter(y, 1, (j,))
+                            if lhs != rhs:
+                                viol = {"level": j, "pair": (tw.name(y), tw.name(z))}
+                                if viol not in relator_bad:
+                                    relator_bad.append(viol)
     return {
         "valid": not homology_bad and not relator_bad,
         "homology_violations": homology_bad,
@@ -332,10 +315,7 @@ class _Evaluator:
                     val = Matrix.zero(self.ring, s, s)
                     for word, coeff in gre.terms.items():
                         val = val + coeff * self.rho_level_word(word, J, rest)
-                    block = val * gen_rest
-                    for p in range(s):
-                        for q in range(s):
-                            out.rows[r * s + p][c * s + q] = block[p, q]
+                    out.paste(r * s, c * s, val * gen_rest)
         self._rho_cache[key] = out
         return out
 
@@ -344,9 +324,8 @@ class _Evaluator:
         key = (w.letters, level, chain)
         if key in self._word_cache:
             return self._word_cache[key]
-        out = Matrix.identity(self.ring, self.size(chain))
-        for x in w.letters:
-            out = out * self.rho_letter((level, abs(x) - 1), 1 if x > 0 else -1, chain)
+        letters = [((level, abs(x) - 1), 1 if x > 0 else -1) for x in w.letters]
+        out = self.rho_word(letters, chain)
         self._word_cache[key] = out
         return out
 
@@ -362,68 +341,45 @@ class _Evaluator:
     def pieces(self, j, chain):
         """(block ranks, scalar boundaries) of the level-<=j sub-tower with
         coefficients twisted through ``chain``; block size = size(chain)."""
-        key = (j, chain)
-        cache = self._pieces_cache
-        if key in cache:
-            return cache[key]
-        s = self.size(chain)
         if j == 1:
-            out = ([1], [])
-        else:
-            d_ranks, d_bnds = self.pieces(j - 1, chain)
-            t_ranks, t_bnds = self.pieces(j - 1, (j,) + chain)
-            d = self.tw.d(j)
-            old_top = len(d_ranks) - 1
-            new_top = old_top + 1
-            ranks = []
-            for q in range(new_top + 1):
-                dq = d_ranks[q] if q <= old_top else 0
-                dq1 = d_ranks[q - 1] if 1 <= q else 0
-                ranks.append(dq + d * dq1)
-            bnds = []
-            for q in range(1, new_top + 1):
-                dq = d_ranks[q] if q <= old_top else 0
-                dq1 = d_ranks[q - 1]
-                dq2 = d_ranks[q - 2] if q >= 2 else 0
-                rows = (dq1 + d * dq2) * s
-                cols = (dq + d * dq1) * s
-                mat = Matrix.zero(self.ring, rows, cols)
-                if q <= old_top:  # sub-tower boundary on the first summand
-                    db = d_bnds[q - 1]
-                    for rr in range(db.nrows):
-                        for cc in range(db.ncols):
-                            mat.rows[rr][cc] = db[rr, cc]
-                sign = -1 if (q - 1) % 2 else 1
-                eye = Matrix.identity(self.ring, s)
-                for k in range(d):  # slot maps into the first summand
-                    slot = self.rho_letter((j, k), -1, chain) - eye
-                    for b in range(dq1):
-                        col0 = (dq + k * dq1 + b) * s
-                        row0 = b * s
-                        for p in range(s):
-                            for qq in range(s):
-                                v = slot[p, qq]
-                                mat.rows[row0 + p][col0 + qq] = -v if sign < 0 else v
-                if q >= 2 and q - 1 <= old_top:  # twisted sub-boundary
-                    tb = t_bnds[q - 2]
-                    ds = d * s
-                    for a in range(dq2):
-                        for b in range(dq1):
-                            for kp in range(d):
-                                for k in range(d):
-                                    row0 = (dq1 + kp * dq2 + a) * s
-                                    col0 = (dq + k * dq1 + b) * s
-                                    trow0 = (a * d + kp) * s
-                                    tcol0 = (b * d + k) * s
-                                    for p in range(s):
-                                        for qq in range(s):
-                                            v = tb[trow0 + p, tcol0 + qq]
-                                            if not self.ring.is_zero(v):
-                                                mat.rows[row0 + p][col0 + qq] = v
-                bnds.append(mat)
-            out = (ranks, bnds)
-        cache[key] = out
-        return out
+            return [1], []
+        key = (j, chain)
+        if key in self._pieces_cache:
+            return self._pieces_cache[key]
+        s = self.size(chain)
+        d_ranks, d_bnds = self.pieces(j - 1, chain)
+        _, t_bnds = self.pieces(j - 1, (j,) + chain)
+        d = self.tw.d(j)
+        old_top = len(d_ranks) - 1
+
+        def sub(q):  # rank of D_q, zero outside the sub-tower's degrees
+            return d_ranks[q] if 0 <= q <= old_top else 0
+
+        ranks = [sub(q) + d * sub(q - 1) for q in range(old_top + 2)]
+        eye = Matrix.identity(self.ring, s)
+        slots = [self.rho_letter((j, k), -1, chain) - eye for k in range(d)]
+        bnds = []
+        for q in range(1, old_top + 2):
+            dq, dq1, dq2 = sub(q), sub(q - 1), sub(q - 2)
+            mat = Matrix.zero(self.ring, ranks[q - 1] * s, ranks[q] * s)
+            if q <= old_top:  # sub-tower boundary on the first summand
+                mat.paste(0, 0, d_bnds[q - 1])
+            for k, slot in enumerate(slots):  # slot maps into the first summand
+                for b in range(dq1):
+                    mat.paste(b * s, (dq + k * dq1 + b) * s, slot, negate=q % 2 == 0)
+            if q >= 2:  # twisted sub-boundary, reordered from (basis, slot) to (slot, basis)
+                perm = t_bnds[q - 2].submatrix(
+                    _slot_major(dq2, d, s), _slot_major(dq1, d, s))
+                mat.paste(dq1 * s, dq * s, perm)
+            bnds.append(mat)
+        self._pieces_cache[key] = ranks, bnds
+        return ranks, bnds
+
+
+def _slot_major(n, d, s):
+    """Indices of a (basis, slot)-ordered sum of n * d blocks of size s,
+    listed in (slot, basis) order."""
+    return [(a * d + k) * s + p for k in range(d) for a in range(n) for p in range(s)]
 
 
 def jacobian_rep(tw: TowerSpec, level, element, ch: TowerCharacter) -> Matrix:
@@ -449,12 +405,13 @@ def jacobian_rep(tw: TowerSpec, level, element, ch: TowerCharacter) -> Matrix:
 def build_tower_complex(tw: TowerSpec, ch: TowerCharacter) -> FreeChainComplex:
     """The specialized chain complex of the whole tower over Q[t,t^-1].
 
-    Ranks are the coefficients of prod (1 + d_j T); construction fails with
-    TowerInvalid if the tower data is inconsistent (the d.d = 0 gate).
+    Ranks are the coefficients of prod (1 + d_j T).  This is the one tower
+    validation gate: an inconsistent tower raises TowerInvalid carrying the
+    JSON of the :func:`check_tower` report (the d.d = 0 gate backs it up).
     """
     report = check_tower(tw)
     if not report["valid"]:
-        raise TowerInvalid(f"tower fails validation: {report}")
+        raise TowerInvalid(json.dumps(report))
     ev = _Evaluator(tw, ch)
     ranks, bnds = ev.pieces(tw.top_level(), ())
     try:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from arrtwist.cli import main
+from arrtwist.tower import TowerSpec, check_tower
 
 
 def run(capsys, *argv):
@@ -52,6 +53,13 @@ class TestMilnorCommands:
             capsys, "milnor", "obstruct", "--n", "5", "--spectrum", "4,0,1,0,1,0"
         )
         assert code == 1
+
+    def test_obstruct_without_input_is_input_error(self, capsys):
+        code, out = run(capsys, "milnor", "obstruct", "--n", "5")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "--spectrum" in rep["reason"] and "--presentation" in rep["reason"]
 
 
 class TestArrCommands:
@@ -105,6 +113,16 @@ class TestHomologyCommands:
         assert rep["homology"]["0"]["torsion"] == ["-1 + t"]
         assert rep["top_rank_formula"] == rep["top_rank_direct"] == 3
 
+    def test_unknown_ring_is_refusal(self, capsys, tmp_path):
+        # UnsupportedRing is a ValueError too: the refusal exit code wins
+        arr = write(tmp_path, "a.json", GENERIC5)
+        code, out = run(
+            capsys, "homology", "koszul", "--arrangement", arr,
+            "--weights=-4,1,1,1,1", "--ring", "bogus",
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == "UnsupportedRing"
+
     def test_koszul_range_refusal_girth3(self, capsys, tmp_path):
         arr = write(
             tmp_path,
@@ -147,6 +165,22 @@ class TestHomologyCommands:
         assert rep["ranks"] == [1, 3, 2]
         assert rep["tor"]["0"]["torsion"] == ["-1 + t"]
 
+    def test_invalid_tower_same_report_from_both_commands(self, capsys, tmp_path):
+        bad = {
+            "exponents": [2, 1],
+            "generators": {"level_2": ["y1"], "level_3": ["x1", "x2"]},
+            "monodromy": {"level_3": {"y1": ["x2", "x1"]}},
+        }
+        tw = write(tmp_path, "bad.json", bad)
+        reason = json.dumps(check_tower(TowerSpec.from_json(bad)))
+        for argv in (
+            ("homology", "tower", "--tower", tw),
+            ("pi", "rank", "--tower", tw, "--p", "0"),
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 1
+            assert json.loads(out) == {"error": "TowerInvalid", "reason": reason}
+
 
 class TestPiAndChain:
     def test_pi_rank_boolean_path(self, capsys, tmp_path):
@@ -171,6 +205,13 @@ class TestPiAndChain:
         code, out = run(capsys, "pi", "rank", "--tower", tw, "--p", "2")
         assert code == 0
         assert json.loads(out)["rank"] == 3
+
+    def test_pi_rank_without_input_is_input_error(self, capsys):
+        code, out = run(capsys, "pi", "rank", "--weights=-4,1,1,1,1")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "--arrangement" in rep["reason"] and "--tower" in rep["reason"]
 
     def test_chain_iso_distinguishes(self, capsys, tmp_path):
         a = write(tmp_path, "c2.json", DIAG2)

@@ -3,8 +3,8 @@
 ``FreeChainComplex`` ranks a boundary over Z and K[t,t^-1] by the divisor
 count of its Smith form; ``linalg.rank`` (fraction-free Bareiss) is the
 independent route these tests hold it against.  The call-count tests pin
-the reuse: no command eliminates the same boundary twice or builds the
-Z^n complex twice.
+the reuse: no command eliminates the same boundary twice, builds the
+Z^n complex twice or validates a tower twice.
 """
 
 import json
@@ -25,7 +25,7 @@ from arrtwist.koszul import (
 )
 from arrtwist.linalg import Matrix, rank, smith_normal_form
 from arrtwist.rings import QQ, ZZ, LaurentRing
-from arrtwist.tower import boolean_pi_rank, build_tower_complex
+from arrtwist.tower import boolean_pi_rank, build_tower_complex, check_tower
 
 from conftest import random_tower, random_tower_character
 
@@ -202,6 +202,28 @@ class TestOneEliminationPerBoundary:
         smith, builds = counted
         self._run(capsys, tmp_path, *argv)
         self._assert_once_per_boundary(smith, builds)
+
+
+TOWER_3_LEVELS = {
+    "exponents": [2, 1, 1],
+    "generators": {"level_2": ["y1"], "level_3": ["z1"], "level_4": ["x1", "x2"]},
+    "monodromy": {"level_4": {"y1": ["x1", "x1 x2 x1-1"], "z1": ["x1", "x1 x2 x1-1"]}},
+    "weights": {"y1": 1, "z1": -1, "x1": 2, "x2": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("homology", "tower", "--tower"), ("pi", "rank", "--p", "1", "--tower")],
+)
+def test_tower_commands_validate_once(capsys, tmp_path, monkeypatch, argv):
+    checks = _count_calls(monkeypatch, check_tower)
+    tw = tmp_path / "t.json"
+    tw.write_text(json.dumps(TOWER_3_LEVELS))
+    code = main([*argv, str(tw)])
+    capsys.readouterr()
+    assert code == 0
+    assert len(checks) == 1 and checks[0][1]["valid"]
 
 
 def test_seed_flag_is_gone():

@@ -156,3 +156,31 @@ class TestMatrixInverse:
         t = L.t()
         with pytest.raises(ZeroDivisionError):
             Matrix(L, [[t - 1]]).inverse()
+
+
+class TestPaste:
+    def test_offset(self):
+        m = Matrix.zero(ZZ, 3, 4)
+        m.paste(1, 2, Matrix(ZZ, [[1, 2], [3, 4]]))
+        assert m == Matrix(ZZ, [[0, 0, 0, 0], [0, 0, 1, 2], [0, 0, 3, 4]])
+
+    def test_negate(self):
+        L = LaurentRing(QQ)
+        t = L.t()
+        m = Matrix.identity(L, 2)
+        m.paste(0, 1, Matrix(L, [[t - 1], [L.zero]]), negate=True)
+        assert m == Matrix(L, [[L.one, 1 - t], [L.zero, L.zero]])
+
+    def test_source_changes_do_not_reach_target(self):
+        block = Matrix(ZZ, [[1, 2]])
+        m = Matrix.zero(ZZ, 1, 3)
+        m.paste(0, 1, block)
+        block.rows[0][0] = 9
+        assert m == Matrix(ZZ, [[0, 1, 2]])
+
+    def test_block_must_fit(self):
+        m = Matrix.zero(ZZ, 2, 2)
+        for r0, c0, n in ((1, 1, 2), (0, 1, 2), (-1, 0, 1)):
+            with pytest.raises(ValueError):
+                m.paste(r0, c0, Matrix.identity(ZZ, n))
+        assert m == Matrix.zero(ZZ, 2, 2)

@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
-from math import inf
+from math import gcd, inf, lcm
 
 from .linalg import Matrix, rank
-from .rings import QQ
+from .rings import ZZ
 
 
 class NotEssential(ValueError):
@@ -101,6 +101,14 @@ class BettiData:
         return f"BettiData(betti={list(self.betti)}, euler={self.euler})"
 
 
+def _primitive(vec):
+    """The primitive integer vector on the line of a nonzero rational one."""
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
 class Arrangement:
     """n+1 rational hyperplanes in P^(r-1), H_0 distinguished.
 
@@ -123,6 +131,9 @@ class Arrangement:
             if not any(vec):
                 raise ValueError("zero covector is not a hyperplane")
             self.forms.append(vec)
+        # Ranks are taken over Z: scaling a form by a nonzero rational
+        # changes no rank, and integer Bareiss avoids Fraction arithmetic.
+        self._int_forms = [_primitive(vec) for vec in self.forms]
         for i, j in combinations(range(len(self.forms)), 2):
             if self._rank_of((i, j)) < 2:
                 raise ValueError(f"hyperplanes {i} and {j} coincide")
@@ -142,7 +153,7 @@ class Arrangement:
             if not key:
                 cache[key] = 0
             else:
-                m = Matrix(QQ, [list(self.forms[i]) for i in sorted(key)])
+                m = Matrix(ZZ, [self._int_forms[i] for i in sorted(key)])
                 cache[key] = rank(m)
         return cache[key]
 

@@ -6,10 +6,10 @@ matrices ``d_q : C_q -> C_{q-1}``; the constructor refuses data with
 divisor chain (empty over fields).  Each boundary is eliminated at most once
 and the result cached on the complex: over a PID (Z, K[t,t^-1]) by its Smith
 form, whose divisor count is the rank and whose non-unit divisors are the
-torsion; over a field by fraction-free (Bareiss) rank.  Two complexes over
-the same PID with equal rank sequences are isomorphic as chain complexes
-exactly when the Smith divisor chains of their boundaries match degree by
-degree, which is what :func:`decide_isomorphic` checks.
+torsion; over a field by Gaussian elimination (``linalg.rank``).  Two
+complexes over the same PID with equal rank sequences are isomorphic as
+chain complexes exactly when the Smith divisor chains of their boundaries
+match degree by degree, which is what :func:`decide_isomorphic` checks.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class FreeChainComplex:
     def _elimination(self, q):
         """(rank, non-unit Smith divisors) of d_q, computed on first use.
 
-        Over a field the divisors are empty and the rank is Bareiss; over a
+        Over a field the divisors are empty and the rank is Gaussian; over a
         PID one Smith form gives both.  Zero maps outside 1..top need none.
         """
         if not 1 <= q <= self.top:

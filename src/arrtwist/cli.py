@@ -191,6 +191,8 @@ def cmd_homology_fox(args):
 
 def cmd_homology_tower(args):
     tw, ch = _tower(args)
+    if args.max_q is not None and args.max_q < 0:
+        raise ValueError(f"--max-q must be nonnegative, got {args.max_q}")
     cx = build_tower_complex(tw, ch)
     max_q = cx.top if args.max_q is None else min(args.max_q, cx.top)
     tor = {q: cx.homology(q) for q in range(max_q + 1)}
@@ -234,6 +236,8 @@ def cmd_milnor_obstruct(args):
 
 
 def cmd_pi_rank(args):
+    if args.tower and args.arrangement:
+        raise ValueError("pi rank takes --arrangement or --tower, not both")
     if args.tower:
         tw, ch = _tower(args)
         if args.p is None:

@@ -308,8 +308,12 @@ def alexander_complex(pres: GroupPresentation, units, ring) -> FreeChainComplex:
 
     d_1 is the 1 x n row with entries phi(x_j) - 1; d_2 has the specialized
     Fox derivatives of the relators as columns (entry (j, k) is
-    phi(d r_k / d x_j)).  The fundamental identity makes d_1 . d_2 = 0 as
-    long as every relator dies under phi; otherwise the input is rejected.
+    phi(d r_k / d x_j)).  Each column comes from one left-to-right pass over
+    its relator with a running prefix image p: the letter x_i adds p to
+    entry i and then multiplies p by phi(x_i); x_i^-1 first multiplies p by
+    phi(x_i)^-1 and then subtracts it.  The final p is phi(r_k), and the
+    fundamental identity makes d_1 . d_2 = 0 as long as every relator dies
+    under phi; otherwise the input is rejected.
     """
     n, m = pres.n, len(pres.relators)
     units = [ring.coerce(u) for u in units]
@@ -318,20 +322,23 @@ def alexander_complex(pres: GroupPresentation, units, ring) -> FreeChainComplex:
     for u in units:
         if not ring.is_unit(u):
             raise ValueError(f"{ring.format(u)} is not invertible in {ring.name}")
+    inverses = [ring.unit_inverse(u) for u in units]
+    columns = []
     for r in pres.relators:
-        img = specialize_word(r, units, ring)
-        if not ring.is_zero(img - ring.one):
+        col = [ring.zero] * n
+        prefix = ring.one
+        for x in r.letters:
+            if x > 0:
+                col[x - 1] = col[x - 1] + prefix
+                prefix = prefix * units[x - 1]
+            else:
+                prefix = prefix * inverses[-x - 1]
+                col[-x - 1] = col[-x - 1] - prefix
+        if not ring.is_zero(prefix - ring.one):
             raise RelatorNotKilled(
-                f"relator {r!r} specializes to {ring.format(img)}, not 1"
+                f"relator {r!r} specializes to {ring.format(prefix)}, not 1"
             )
+        columns.append(col)
     d1 = Matrix(ring, [[u - ring.one for u in units]], 1, n)
-    d2 = Matrix(
-        ring,
-        [
-            [specialize(fox_derivative(r, j), units, ring) for r in pres.relators]
-            for j in range(n)
-        ],
-        n,
-        m,
-    )
+    d2 = Matrix(ring, [[col[j] for col in columns] for j in range(n)], n, m)
     return FreeChainComplex(ring, (1, n, m), [d1, d2])

@@ -1,7 +1,8 @@
 """Dense exact linear algebra over the rings of :mod:`arrtwist.rings`.
 
-:func:`rank` is fraction-free (Bareiss) elimination, exact over any integral
-domain here, including Laurent rings; chain complexes use it over fields and
+:func:`rank` is Gaussian elimination over a field, with one inverse per
+pivot, and fraction-free (Bareiss) elimination over Z and Laurent rings,
+where no quotient leaves the ring.  Chain complexes use it over fields and
 otherwise read ranks from the Smith form, which is far cheaper on Laurent
 boundaries (see :mod:`arrtwist.chain`).  Smith normal forms use the classical
 elementary-operation algorithm over a Euclidean ring with smallest-size
@@ -233,10 +234,18 @@ class Matrix:
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the fraction field, by fraction-free elimination."""
+    """Rank over the fraction field.
+
+    Over a field: Gaussian elimination, one ``unit_inverse`` per pivot and
+    one multiply-subtract per entry cleared; rows already zero in the pivot
+    column are skipped.  Otherwise fraction-free (Bareiss) elimination, whose
+    every division is exact in the ring.
+    """
     R = m.ring
     a = [r[:] for r in m.rows]
     nr, nc = m.nrows, m.ncols
+    if R.is_field:
+        return _field_rank(R, a, nr, nc)
     r = 0
     prev = R.one
     for c in range(nc):
@@ -253,6 +262,30 @@ def rank(m: Matrix) -> int:
                 a[i][j] = R.exact_div(a[r][c] * a[i][j] - a[i][c] * a[r][j], prev)
             a[i][c] = R.zero
         prev = a[r][c]
+        r += 1
+    return r
+
+
+def _field_rank(R, a, nr, nc):
+    """Rank of the rows ``a`` (consumed) over the field ``R``."""
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        piv = next((i for i in range(r, nr) if not R.is_zero(a[i][c])), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        inv = R.unit_inverse(prow[c])
+        cols = [j for j in range(c + 1, nc) if not R.is_zero(prow[j])]
+        for i in range(r + 1, nr):
+            row = a[i]
+            if R.is_zero(row[c]):
+                continue
+            f = row[c] * inv
+            for j in cols:
+                row[j] = row[j] - f * prow[j]
         r += 1
     return r
 

@@ -435,6 +435,8 @@ def pi_p_presentation_fibertype(
     with its cokernel summary.  The caller asserts the geometric hypotheses
     (fiber-type ambient, p = r - 1)."""
     cx = build_tower_complex(tw, ch)
+    if p < 0:
+        raise DegreeUnavailable(f"p must be nonnegative, got {p}")
     if p + 2 > cx.top:
         raise DegreeUnavailable(
             f"complex has top degree {cx.top}; boundary {p + 2} does not exist"

@@ -165,6 +165,15 @@ class TestHomologyCommands:
         assert rep["ranks"] == [1, 3, 2]
         assert rep["tor"]["0"]["torsion"] == ["-1 + t"]
 
+    def test_tower_negative_max_q_is_input_error(self, capsys, tmp_path):
+        tw = write(tmp_path, "t.json", {"exponents": [2, 1]})
+        code, out = run(capsys, "homology", "tower", "--tower", tw, "--max-q", "-3")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError" and "--max-q" in rep["reason"]
+        code, out = run(capsys, "homology", "tower", "--tower", tw, "--max-q", "0")
+        assert code == 0 and list(json.loads(out)["tor"]) == ["0"]
+
     def test_invalid_tower_same_report_from_both_commands(self, capsys, tmp_path):
         bad = {
             "exponents": [2, 1],
@@ -208,6 +217,27 @@ class TestPiAndChain:
 
     def test_pi_rank_without_input_is_input_error(self, capsys):
         code, out = run(capsys, "pi", "rank", "--weights=-4,1,1,1,1")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "--arrangement" in rep["reason"] and "--tower" in rep["reason"]
+
+    def test_pi_rank_negative_p_refused(self, capsys, tmp_path):
+        tw = write(tmp_path, "t.json", {"exponents": [2, 1]})
+        for p in ("-1", "-2"):
+            code, out = run(capsys, "pi", "rank", "--tower", tw, "--p", p)
+            assert code == 2
+            assert json.loads(out)["error"] == "DegreeUnavailable"
+        code, out = run(capsys, "pi", "rank", "--tower", tw, "--p", "0")
+        assert code == 0 and json.loads(out)["matrix_shape"] == [3, 2]
+
+    def test_pi_rank_both_sources_is_input_error(self, capsys, tmp_path):
+        arr = write(tmp_path, "a.json", GENERIC5)
+        tw = write(tmp_path, "t.json", {"exponents": [1, 1, 1, 1]})
+        code, out = run(
+            capsys, "pi", "rank", "--arrangement", arr, "--tower", tw,
+            "--weights=-4,1,1,1,1", "--p", "2",
+        )
         assert code == 1
         rep = json.loads(out)
         assert rep["error"] == "ValueError"

@@ -217,20 +217,28 @@ class Arrangement:
         return inf
 
     def _localization_connected(self, flat):
-        """Whether the matroid of {forms[i] : i in flat} is connected:
-        no bipartition with additive rank."""
+        """Whether the matroid of {forms[i] : i in flat} (nonempty) is
+        connected.  Fundamental-graph test: with a greedy basis B of the
+        flat, join b in B to e outside B when B - b + e is again a basis;
+        the matroid is connected exactly when this graph is.  That costs
+        about |flat| * rank rank calls, not one pair per bipartition."""
         ground = sorted(flat)
-        if len(ground) <= 1:
-            return True
-        total = self._rank_of(flat)
-        first, rest = ground[0], ground[1:]
-        for size in range(0, len(rest)):
-            for part in combinations(rest, size):
-                p1 = frozenset((first,) + part)
-                p2 = frozenset(ground) - p1
-                if p2 and self._rank_of(p1) + self._rank_of(p2) == total:
-                    return False
-        return True
+        basis = []
+        for i in ground:
+            if self._rank_of(basis + [i]) > len(basis):
+                basis.append(i)
+        joined = {i: set() for i in ground}
+        for e in set(ground) - set(basis):
+            for b in basis:
+                if self._rank_of(set(basis) - {b} | {e}) == len(basis):
+                    joined[b].add(e)
+                    joined[e].add(b)
+        seen, todo = {ground[0]}, [ground[0]]
+        while todo:
+            new = joined[todo.pop()] - seen
+            seen |= new
+            todo.extend(new)
+        return len(seen) == len(ground)
 
     def dense_edges(self):
         """Flats of the cone whose localization is irreducible (connected

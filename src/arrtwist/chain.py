@@ -202,8 +202,6 @@ def decide_isomorphic(c1: FreeChainComplex, c2: FreeChainComplex):
     """
     if c1.ring != c2.ring:
         raise MixedRings("complexes over different rings")
-    if not getattr(c1.ring, "is_euclidean", False):
-        raise UnsupportedRing("isomorphism decision needs a PID")
     report = {"ring": c1.ring.name, "ranks_equal": list(c1.ranks) == list(c2.ranks)}
     if not report["ranks_equal"]:
         report["reason"] = f"rank sequences differ: {list(c1.ranks)} vs {list(c2.ranks)}"

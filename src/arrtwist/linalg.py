@@ -2,13 +2,16 @@
 
 :func:`rank` is Gaussian elimination over a field, with one inverse per
 pivot, and fraction-free (Bareiss) elimination over Z and Laurent rings,
-where no quotient leaves the ring.  Chain complexes use it over fields and
-otherwise read ranks from the Smith form, which is far cheaper on Laurent
-boundaries (see :mod:`arrtwist.chain`).  Smith normal forms use the classical
+where no quotient leaves the ring; :meth:`Matrix.det` runs the same Bareiss
+loop.  Chain complexes use :func:`rank` over fields and otherwise read ranks
+from the Smith form, which is far cheaper on Laurent boundaries (see
+:mod:`arrtwist.chain`).  Smith normal forms use the classical
 elementary-operation algorithm over a Euclidean ring with smallest-size
 pivoting; divisors are reported as canonical associates
-(positive over Z, valuation-0 monic over K[t,t^-1]).  Kernel bases come from
-the tracked right transform of the Smith form, which over a PID yields a
+(positive over Z, valuation-0 monic over K[t,t^-1]).  The optional left and
+right transforms are carried as identity blocks beside and below the
+matrix, so the row and column operations update them without extra code.
+Kernel bases come from the right transform, which over a PID yields a
 basis of the kernel of the map of free modules (automatically saturated).
 
 Matrices are immutable-by-convention dense row-major arrays, except that
@@ -18,7 +21,7 @@ everything is desk scale, so no sparsity.
 
 from __future__ import annotations
 
-from .rings import Ring, UnsupportedRing, MixedRings
+from .rings import Ring, MixedRings
 
 
 class Matrix:
@@ -192,45 +195,26 @@ class Matrix:
         form = smith_normal_form(self, transforms=True)
         if form.rank != n or not all(R.is_unit(d) for d in form.divisors):
             raise ZeroDivisionError("matrix is not invertible over its ring")
-        # D = L * self * Rt  =>  self^{-1} = Rt * D^{-1} * L
-        dinv = Matrix(R, [
-            [R.unit_inverse(form.pivots[i]) if i == j else R.zero for j in range(n)]
-            for i in range(n)
-        ])
-        return form.right * dinv * form.left
+        # left * self * right = diag(divisors), and the canonical associate
+        # of a unit is 1, so self^{-1} = right * left
+        return form.right * form.left
 
     def det(self):
         """Fraction-free determinant (Bareiss)."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         R = self.ring
-        n = self.nrows
-        if n == 0:
-            return R.one
-        a = [r[:] for r in self.rows]
-        prev = R.one
-        sign = 1
-        for k in range(n - 1):
-            piv = next((i for i in range(k, n) if not R.is_zero(a[i][k])), None)
-            if piv is None:
-                return R.zero
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = R.exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-                a[i][k] = R.zero
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return -d if sign < 0 else d
+        r, sign, last = _bareiss(R, [row[:] for row in self.rows], self.nrows, self.ncols)
+        if r < self.nrows:
+            return R.zero
+        return -last if sign < 0 else last
 
     def format_entries(self):
         return [[self.ring.format(x) for x in r] for r in self.rows]
 
     def __repr__(self):
         body = "; ".join(" ".join(self.ring.format(x) for x in r) for r in self.rows)
-        return f"Matrix({self.ring.name if hasattr(self.ring, 'name') else self.ring}, {self.nrows}x{self.ncols}: {body})"
+        return f"Matrix({self.ring.name}, {self.nrows}x{self.ncols}: {body})"
 
 
 def rank(m: Matrix) -> int:
@@ -243,10 +227,20 @@ def rank(m: Matrix) -> int:
     """
     R = m.ring
     a = [r[:] for r in m.rows]
-    nr, nc = m.nrows, m.ncols
     if R.is_field:
-        return _field_rank(R, a, nr, nc)
+        return _field_rank(R, a, m.nrows, m.ncols)
+    return _bareiss(R, a, m.nrows, m.ncols)[0]
+
+
+def _bareiss(R, a, nr, nc):
+    """Fraction-free elimination of the rows ``a`` (consumed).
+
+    Returns ``(rank, sign, last)``: ``sign`` is the parity of the row swaps
+    and ``last`` the last pivot (``R.one`` if there is none).  For a square
+    matrix of full rank, ``sign * last`` is its determinant.
+    """
     r = 0
+    sign = 1
     prev = R.one
     for c in range(nc):
         if r >= nr:
@@ -256,14 +250,16 @@ def rank(m: Matrix) -> int:
         if not cand:
             continue
         piv = min(cand, key=lambda i: R.euclid_size(a[i][c]))
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         for i in range(r + 1, nr):
             for j in range(c + 1, nc):
                 a[i][j] = R.exact_div(a[r][c] * a[i][j] - a[i][c] * a[r][j], prev)
             a[i][c] = R.zero
         prev = a[r][c]
         r += 1
-    return r
+    return r, sign, prev
 
 
 def _field_rank(R, a, nr, nc):
@@ -293,19 +289,18 @@ def _field_rank(R, a, nr, nc):
 class SmithForm:
     """Divisor chain d_1 | d_2 | ... | d_s of a matrix over a Euclidean ring.
 
-    ``divisors`` are canonical associates; ``pivots`` are the raw diagonal
-    entries (only meaningful when transforms were requested, satisfying
-    ``left * A * right == diag(pivots)``).
+    ``divisors`` are canonical associates.  When transforms were requested,
+    ``left`` and ``right`` are invertible over the ring and
+    ``left * A * right`` is diagonal with the divisors on its diagonal.
     """
 
-    __slots__ = ("divisors", "rank", "left", "right", "pivots")
+    __slots__ = ("divisors", "rank", "left", "right")
 
-    def __init__(self, divisors, left=None, right=None, pivots=None):
+    def __init__(self, divisors, left=None, right=None):
         self.divisors = tuple(divisors)
         self.rank = len(self.divisors)
         self.left = left
         self.right = right
-        self.pivots = pivots
 
     def nontrivial(self, ring):
         """The non-unit divisors (the torsion-carrying part of the chain)."""
@@ -320,84 +315,56 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
     the pivot fails to divide, and recurse on the rest.  The result is the
     divisor chain; with ``transforms=True``, invertible ``left`` and
     ``right`` with ``left * m * right`` diagonal are returned as well.
+
+    The transforms ride along in the working array: ``left`` starts as an
+    identity block to the right of the rows and ``right`` as an identity
+    block below the columns, so every row operation updates ``left`` and
+    every column operation updates ``right``.  Pivot search, clearing and
+    content scaling read only the top-left ``nr x nc`` block.
     """
     R = m.ring
-    if not getattr(R, "is_euclidean", False):
-        raise UnsupportedRing(f"Smith form needs a Euclidean ring, not {R}")
-    a = [r[:] for r in m.rows]
     nr, nc = m.nrows, m.ncols
-    L = Matrix.identity(R, nr).rows if transforms else None
-    Rt = Matrix.identity(R, nc).rows if transforms else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if L is not None:
-            L[i], L[j] = L[j], L[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if Rt is not None:
-            for row in Rt:
-                row[i], row[j] = row[j], row[i]
+    a = [r[:] for r in m.rows]
+    if transforms:
+        a = [r + e for r, e in zip(a, Matrix.identity(R, nr).rows)]
+        a += Matrix.identity(R, nc).rows
 
     def scale_row(i, unit):
         a[i] = [unit * x for x in a[i]]
-        if L is not None:
-            L[i] = [unit * x for x in L[i]]
-
-    def scale_col(j, unit):
-        for row in a:
-            row[j] = unit * row[j]
-        if Rt is not None:
-            for row in Rt:
-                row[j] = unit * row[j]
 
     def normalize_row(i):
-        u = R.content_unit(a[i])
+        u = R.content_unit(a[i][:nc])
         if not R.is_zero(u - R.one):
             scale_row(i, u)
 
     def normalize_col(j):
-        u = R.content_unit([row[j] for row in a])
+        u = R.content_unit([a[i][j] for i in range(nr)])
         if not R.is_zero(u - R.one):
-            scale_col(j, u)
+            for row in a:
+                row[j] = u * row[j]
 
     def add_row(dst, src, coef):
-        a[dst] = [a[dst][j] + coef * a[src][j] for j in range(nc)]
-        if L is not None:
-            L[dst] = [L[dst][j] + coef * L[src][j] for j in range(nr)]
+        a[dst] = [x + coef * y for x, y in zip(a[dst], a[src])]
         normalize_row(dst)
 
     def add_col(dst, src, coef):
         for row in a:
             row[dst] = row[dst] + coef * row[src]
-        if Rt is not None:
-            for row in Rt:
-                row[dst] = row[dst] + coef * row[src]
         normalize_col(dst)
 
     def two_row_op(r1, r2, x, y, z, w):
         # (row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2); caller supplies a
         # unimodular 2x2, so the transform stays invertible.
         a[r1], a[r2] = (
-            [x * a[r1][j] + y * a[r2][j] for j in range(nc)],
-            [z * a[r1][j] + w * a[r2][j] for j in range(nc)],
+            [x * p + y * q for p, q in zip(a[r1], a[r2])],
+            [z * p + w * q for p, q in zip(a[r1], a[r2])],
         )
-        if L is not None:
-            L[r1], L[r2] = (
-                [x * L[r1][j] + y * L[r2][j] for j in range(nr)],
-                [z * L[r1][j] + w * L[r2][j] for j in range(nr)],
-            )
         normalize_row(r1)
         normalize_row(r2)
 
     def two_col_op(c1, c2, x, y, z, w):
         for row in a:
             row[c1], row[c2] = x * row[c1] + y * row[c2], z * row[c1] + w * row[c2]
-        if Rt is not None:
-            for row in Rt:
-                row[c1], row[c2] = x * row[c1] + y * row[c2], z * row[c1] + w * row[c2]
         normalize_col(c1)
         normalize_col(c2)
 
@@ -421,9 +388,7 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         two_col_op(t, j, x, y, -R.exact_div(v, g), R.exact_div(p, g))
 
     for i in range(nr):
-        u = R.content_unit(a[i])
-        if not R.is_zero(u - R.one):
-            scale_row(i, u)
+        normalize_row(i)
 
     t = 0
     while t < min(nr, nc):
@@ -439,9 +404,10 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
             break
         _, bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
+            a[t], a[bi] = a[bi], a[t]
         if bj != t:
-            swap_cols(t, bj)
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
         while True:
             # Canonical (e.g. monic) pivots keep quotient coefficients tame.
             piv = a[t][t]
@@ -473,21 +439,16 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
             add_row(t, culprit, R.one)
         t += 1
 
-    pivots = []
-    divisors = []
+    divisors = [R.canonical(a[k][k]) for k in range(t)]
+    if not transforms:
+        return SmithForm(divisors)
     for k in range(t):
-        d = R.canonical(a[k][k])
-        if L is not None:
-            # scale the row by the unit that canonicalizes the pivot
-            u = R.exact_div(d, a[k][k])
-            scale_row(k, u)
-        pivots.append(d)
-        divisors.append(d)
+        # scale the row by the unit that canonicalizes the pivot
+        scale_row(k, R.exact_div(divisors[k], a[k][k]))
     return SmithForm(
         divisors,
-        left=Matrix(R, L, nr, nr) if transforms else None,
-        right=Matrix(R, Rt, nc, nc) if transforms else None,
-        pivots=pivots if transforms else None,
+        left=Matrix(R, [row[nc:] for row in a[:nr]], nr, nr),
+        right=Matrix(R, a[nr:], nc, nc),
     )
 
 

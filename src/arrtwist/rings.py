@@ -7,10 +7,14 @@ complexes in this package:
 * univariate Laurent polynomial rings ``K[t, t^-1]`` over any of the fields.
 
 Every ring is described by a small ``Ring`` object that knows how to coerce,
-add, multiply, divide exactly, recognize units, and (for the Euclidean rings
-``Z``, ``K[t,t^-1]`` and fields) perform division with remainder.  Scalars are
-plain values: ``int``, ``Fraction``, or one of the element classes below.
-All values are immutable after construction and all operations are pure.
+add, multiply, divide exactly, recognize units, and perform division with
+remainder (every ring here is Euclidean).  The fields ``Q``, ``F_p`` and
+``Q(zeta_d)`` share the ``Field`` base, which holds the unit test, the
+trivial Euclidean structure and the canonical associate once; each field
+supplies only coercion, inversion and parsing.  ``Ring.format`` is the
+``repr`` of the coerced element, except over ``Q``.  Scalars are plain
+values: ``int``, ``Fraction``, or one of the element classes below.  All
+values are immutable after construction and all operations are pure.
 
 Canonical associates (used to normalize Smith divisors):
 
@@ -476,7 +480,6 @@ class Ring:
     """Common interface over Z, Q, F_p, Q(zeta_d), and K[t,t^-1]."""
 
     is_field = False
-    is_euclidean = True  # every supported ring here is at least Euclidean
 
     def coerce(self, x):
         raise NotImplementedError
@@ -548,7 +551,7 @@ class Ring:
         return g, x0, y0
 
     def format(self, a) -> str:
-        return repr(a)
+        return repr(self.coerce(a))
 
     def parse(self, s):
         raise NotImplementedError
@@ -601,36 +604,39 @@ class IntegerRing(Ring):
     def canonical(self, a):
         return abs(a)
 
-    def format(self, a):
-        return str(a)
-
     def parse(self, s):
         return int(str(s))
 
 
-class RationalField(Ring):
-    name = "Q"
+class Field(Ring):
+    """A field: every nonzero element is a unit, division is exact, and
+    the canonical associate of a nonzero element is 1."""
+
     is_field = True
+
+    def is_unit(self, a):
+        return not self.is_zero(self.coerce(a))
+
+    def euclid_size(self, a):
+        return 0 if self.is_zero(a) else 1
+
+    def euclid_divmod(self, a, b):
+        return a / b, self.zero
+
+    def canonical(self, a):
+        return self.zero if self.is_zero(a) else self.one
+
+
+class RationalField(Field):
+    name = "Q"
 
     def coerce(self, x):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise MixedRings(f"cannot view {x!r} as a rational")
 
-    def is_unit(self, a):
-        return a != 0
-
     def unit_inverse(self, a):
         return Fraction(1) / a
-
-    def euclid_size(self, a):
-        return 0 if a == 0 else 1
-
-    def euclid_divmod(self, a, b):
-        return a / b, Fraction(0)
-
-    def canonical(self, a):
-        return Fraction(0) if a == 0 else Fraction(1)
 
     def format(self, a):
         return str(a)
@@ -639,9 +645,7 @@ class RationalField(Ring):
         return Fraction(str(s))
 
 
-class PrimeField(Ring):
-    is_field = True
-
+class PrimeField(Field):
     def __init__(self, p):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -664,31 +668,14 @@ class PrimeField(Ring):
             )
         raise MixedRings(f"cannot view {x!r} in F_{self.p}")
 
-    def is_unit(self, a):
-        return bool(self.coerce(a))
-
     def unit_inverse(self, a):
         return self.coerce(a).inverse()
-
-    def euclid_size(self, a):
-        return 0 if self.is_zero(a) else 1
-
-    def euclid_divmod(self, a, b):
-        return a / b, self.zero
-
-    def canonical(self, a):
-        return self.zero if self.is_zero(a) else self.one
-
-    def format(self, a):
-        return str(self.coerce(a).value)
 
     def parse(self, s):
         return PrimeFieldElement(self.p, int(str(s)))
 
 
-class CyclotomicField(Ring):
-    is_field = True
-
+class CyclotomicField(Field):
     def __init__(self, d):
         if d < 1:
             raise ValueError("d must be positive")
@@ -714,26 +701,8 @@ class CyclotomicField(Ring):
             return CyclotomicElement(self.d, [Fraction(x)])
         raise MixedRings(f"cannot view {x!r} in Q(zeta_{self.d})")
 
-    def is_unit(self, a):
-        return bool(self.coerce(a))
-
     def unit_inverse(self, a):
         return self.coerce(a).inverse()
-
-    def euclid_size(self, a):
-        return 0 if self.is_zero(a) else 1
-
-    def euclid_divmod(self, a, b):
-        return a / b, self.zero
-
-    def canonical(self, a):
-        return self.zero if self.is_zero(a) else self.one
-
-    def format(self, a):
-        a = self.coerce(a)
-        return format_poly_terms(
-            ((k, c) for k, c in enumerate(a.coeffs) if c), f"z{self.d}", QQ
-        )
 
     def parse(self, s):
         terms = parse_poly_terms(str(s), f"z{self.d}", QQ)
@@ -785,10 +754,6 @@ class LaurentRing(Ring):
         lead = a.coeffs[max(a.coeffs)]
         inv = self.base.unit_inverse(lead)
         return LaurentPoly(self.base, {e - v: c * inv for e, c in a.coeffs.items()})
-
-    def format(self, a):
-        a = self.coerce(a)
-        return format_poly_terms(sorted(a.coeffs.items()), "t", self.base)
 
     def parse(self, s):
         terms = parse_poly_terms(str(s), "t", self.base)

@@ -90,6 +90,64 @@ class TestDenseEdges:
                 assert frozenset({i}) in dense
 
 
+def bipartition_connected(arr, flat):
+    """Matroid connectivity by brute force: no bipartition of the flat with
+    additive rank (the oracle for the fundamental-graph test)."""
+    ground = sorted(flat)
+    total = arr._rank_of(flat)
+    first, rest = ground[0], ground[1:]
+    for size in range(len(rest)):
+        for part in combinations(rest, size):
+            p1 = frozenset((first,) + part)
+            if arr._rank_of(p1) + arr._rank_of(frozenset(ground) - p1) == total:
+                return False
+    return True
+
+
+def braid(k):
+    """Deconed A_k: x_i - x_j on k+1 points with x_0 := 0, in k coordinates."""
+    forms = []
+    for i, j in combinations(range(k + 1), 2):
+        v = [0] * (k + 1)
+        v[i], v[j] = 1, -1
+        forms.append(v[1:])
+    return Arrangement(k, forms)
+
+
+def random_sign_arrangement(rnd, r, count):
+    """``count`` pairwise non-proportional forms with entries in {-1, 0, 1}."""
+    forms = []
+    while len(forms) < count:
+        v = [rnd.choice((-1, 0, 1)) for _ in range(r)]
+        if any(v) and v not in forms and [-x for x in v] not in forms:
+            forms.append(v)
+    return Arrangement(r, forms)
+
+
+class TestLocalizationConnected:
+    def test_matches_bipartition_search(self, rnd):
+        arrangements = [braid(k) for k in (3, 4, 5)]
+        arrangements += [
+            random_sign_arrangement(rnd, r, rnd.randint(r, 8))
+            for r in (3, 4)
+            for _ in range(12)
+        ]
+        for arr in arrangements:
+            for flat in arr.central_flats():
+                # the 15-form center of A_5 alone would cost 2^14 bipartitions;
+                # test_braid_dense_edges covers it by the closed form
+                if 1 < len(flat) <= 10:
+                    assert arr._localization_connected(flat) == bipartition_connected(arr, flat), (
+                        arr.forms, sorted(flat))
+
+    def test_braid_dense_edges(self):
+        # dense edges of A_k are the flats of one block: C(k+1, m) per size m >= 2
+        for k in (3, 4, 5):
+            dense = braid(k).dense_edges()
+            for m in range(2, k + 2):
+                assert sum(1 for f in dense if f.codim == m - 1) == comb(k + 1, m)
+
+
 class TestNonresonance:
     def test_boolean_generic_weights(self):
         a = Arrangement.boolean(4)

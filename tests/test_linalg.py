@@ -1,20 +1,34 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
 
 from arrtwist.linalg import Matrix, kernel_basis, rank, smith_normal_form
-from arrtwist.rings import CyclotomicField, LaurentRing, QQ, ZZ
+from arrtwist.rings import CyclotomicField, LaurentRing, PrimeField, QQ, ZZ
+
+
+def leibniz_det(ring, rows):
+    """Determinant as the signed sum over permutations, with no elimination
+    (the oracle for ``Matrix.det``)."""
+    n = len(rows)
+    total = ring.zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = ring.one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def minor_gcd(ring, m, k):
-    """gcd of all k x k minors, computed independently by cofactor expansion
-    (the oracle for Smith divisor products)."""
+    """gcd of all k x k minors, each a Leibniz determinant, so independent
+    of ``linalg`` (the oracle for Smith divisor products)."""
     g = ring.zero
     for rows in combinations(range(m.nrows), k):
         for cols in combinations(range(m.ncols), k):
-            g = ring.gcd(g, m.submatrix(rows, cols).det())
+            g = ring.gcd(g, leibniz_det(ring, m.submatrix(rows, cols).rows))
     return ring.canonical(g)
 
 
@@ -22,6 +36,20 @@ def random_laurent(rnd, L, span=2, coef=2):
     t = L.t()
     return sum(
         (rnd.randint(-coef, coef) * t**e for e in range(-span, span + 1)), L.zero
+    )
+
+
+def ring_samplers(rnd):
+    """(ring, random element) over Z, Q, F_7, Q(zeta_5) and Q[t,t^-1]; each
+    sampler returns zero often enough to force pivot searches."""
+    K = CyclotomicField(5)
+    L = LaurentRing(QQ)
+    return (
+        (ZZ, lambda: rnd.randint(-4, 4)),
+        (QQ, lambda: Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))),
+        (PrimeField(7), lambda: PrimeField(7).coerce(rnd.randint(0, 6))),
+        (K, lambda: sum((rnd.randint(-1, 1) * K.zeta(k) for k in range(2)), K.zero)),
+        (L, lambda: random_laurent(rnd, L, 1, 1)),
     )
 
 
@@ -95,20 +123,54 @@ class TestSmithNormalForm:
                 assert L.canonical(prod) == minor_gcd(L, m, k)
 
     def test_transforms_witness(self, rnd):
-        L = LaurentRing(QQ)
-        for ring, gen in ((ZZ, lambda: rnd.randint(-6, 6)), (L, lambda: random_laurent(rnd, L, 1, 1))):
-            for _ in range(12):
-                nr, nc = rnd.randint(1, 4), rnd.randint(1, 4)
-                m = Matrix(ring, [[gen() for _ in range(nc)] for _ in range(nr)])
+        for ring, gen in ring_samplers(rnd):
+            shapes = [(0, 3), (3, 0), (0, 0)]
+            shapes += [(rnd.randint(1, 4), rnd.randint(1, 4)) for _ in range(12)]
+            for nr, nc in shapes:
+                m = Matrix(ring, [[gen() for _ in range(nc)] for _ in range(nr)], nr, nc)
                 form = smith_normal_form(m, transforms=True)
+                assert (form.left.nrows, form.right.nrows) == (nr, nc)
                 d = form.left * m * form.right
                 for i in range(nr):
                     for j in range(nc):
-                        want = form.pivots[i] if (i == j and i < form.rank) else ring.zero
+                        want = form.divisors[i] if (i == j and i < form.rank) else ring.zero
                         assert d[i, j] == want
                 # transforms are invertible over the ring
-                assert ring.is_unit(form.left.det())
-                assert ring.is_unit(form.right.det())
+                assert ring.is_unit(leibniz_det(ring, form.left.rows))
+                assert ring.is_unit(leibniz_det(ring, form.right.rows))
+
+
+class TestDeterminant:
+    def test_matches_leibniz(self, rnd):
+        for ring, gen in ring_samplers(rnd):
+            for n in range(5):
+                for _ in range(4):
+                    rows = [[gen() for _ in range(n)] for _ in range(n)]
+                    if n >= 2 and rnd.random() < 0.3:
+                        rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+                    assert Matrix(ring, rows, n, n).det() == leibniz_det(ring, rows)
+
+    def test_row_swaps_flip_the_sign(self):
+        for ring in (ZZ, QQ, PrimeField(7), CyclotomicField(5), LaurentRing(QQ)):
+            for perm in permutations(range(3)):
+                rows = [[ring.one if j == perm[i] else ring.zero for j in range(3)]
+                        for i in range(3)]
+                want = leibniz_det(ring, rows)
+                assert want in (ring.one, -ring.one)
+                assert Matrix(ring, rows).det() == want
+        # a zero leading entry forces a swap even when every minor is dense
+        assert Matrix(ZZ, [[0, 2, 1], [3, 1, 4], [1, 5, 9]]).det() == -32
+
+    def test_singular(self):
+        L = LaurentRing(QQ)
+        t = L.t()
+        assert Matrix(ZZ, [[1, 2], [2, 4]]).det() == 0
+        assert Matrix(QQ, [[0, 1, 2], [0, 3, 4], [0, 5, 6]]).det() == 0
+        assert Matrix(L, [[t - 1, 1 - t], [t, -t]]).det() == L.zero
+
+    def test_non_square_refused(self):
+        with pytest.raises(ValueError):
+            Matrix.zero(ZZ, 2, 3).det()
 
 
 class TestKernel:
@@ -144,6 +206,19 @@ class TestMatrixInverse:
         a = Matrix(L, [[1, t], [L.zero, t**2]])
         assert a * a.inverse() == Matrix.identity(L, 2)
         assert a.inverse() * a == Matrix.identity(L, 2)
+
+    def test_laurent_inverse_with_pivot_swap(self):
+        L = LaurentRing(QQ)
+        t = L.t()
+        # zero in the top-left corner: Smith must swap before its first pivot
+        a = Matrix(L, [
+            [L.zero, L.zero, t**-1],
+            [L.zero, L.one, 1 - t],
+            [t, 1 + t, t**2],
+        ])
+        inv = a.inverse()
+        assert a * inv == Matrix.identity(L, 3)
+        assert inv * a == Matrix.identity(L, 3)
 
     def test_field_inverse(self):
         K = CyclotomicField(3)

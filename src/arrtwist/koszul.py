@@ -139,9 +139,9 @@ def generic_range_homology(
 
     Valid because in that range the homology depends only on the module and
     on n; for c = inf the arrangement is Boolean and every degree counts
-    (reported with a note).  ``full``, the untruncated complex of ``u``, is
-    read instead of building the truncation when the caller already has it:
-    the two agree in every degree reported here."""
+    (reported with a note).  ``full``, a complex of ``u`` built past the
+    last degree reported, is read instead of building the truncation when
+    the caller already has it: the two agree in every degree reported here."""
     if u.n != arr.n:
         raise ValueError(f"unit assignment has n={u.n}, arrangement has n={arr.n}")
     c = arr.girth()
@@ -218,7 +218,7 @@ def complete_homology_generic_position(
 ) -> CompleteHomology:
     """Twisted homology of a generic-position arrangement in all degrees.
 
-    Degrees below r-1 come from the full Z^n complex; degree r-1 is computed
+    Degrees below r-1 come from the Z^n complex; degree r-1 is computed
     both as the kernel rank of the truncated top boundary and through the
     alternating-sum formula
 
@@ -226,13 +226,14 @@ def complete_homology_generic_position(
         kappa = sum_(q=0)^(r-2) (-1)^q rank H_q,
 
     and the two must agree (Disagreement otherwise).  Degrees above r-1
-    vanish.  ``full`` is the untruncated complex of ``u`` when the caller
-    already built it; its cached eliminations are reused.
+    vanish, so only d_1 .. d_(r-1) are read and the complex is built up to
+    degree r - 1.  ``full`` is a complex of ``u`` built at least that far
+    when the caller already has one; its cached eliminations are reused.
     """
     check_generic_position(arr, u)
     r = arr.r
     if full is None:
-        full = build_koszul(u, arr.n)
+        full = build_koszul(u, min(arr.n, r - 1))
     entries = {}
     kappa = 0
     for q in range(r - 1):

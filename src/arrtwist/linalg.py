@@ -64,9 +64,6 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def copy(self):
-        return Matrix(self.ring, [r[:] for r in self.rows], self.nrows, self.ncols)
-
     def paste(self, row0, col0, block, negate=False):
         """Write ``block`` (or its negative) into this matrix in place, with
         its top-left entry at (row0, col0).  Entries are copied, so later
@@ -132,18 +129,18 @@ class Matrix:
         self._check_compat(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
+        # i-k-j order: each nonzero self[i][k] meets the nonzeros of row k
         z = self.ring.zero
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if not self.ring.is_zero(a):
-                        acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self.rows:
+            acc = [z] * other.ncols
+            for a, orow in zip(row, other.rows):
+                if not a:
+                    continue
+                for j, b in enumerate(orow):
+                    if b:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return Matrix(self.ring, out, self.nrows, other.ncols)
 
     def __rmul__(self, other):

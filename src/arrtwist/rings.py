@@ -16,6 +16,13 @@ supplies only coercion, inversion and parsing.  ``Ring.format`` is the
 values: ``int``, ``Fraction``, or one of the element classes below.  All
 values are immutable after construction and all operations are pure.
 
+Laurent polynomials over ``Q`` keep every integral coefficient as a Python
+``int`` and only the others as ``Fraction`` (the element values of ``Q``
+itself stay ``Fraction``).  The boundaries of this package have integer
+coefficients and Smith reduction keeps them primitive with monic pivots, so
+their elimination runs on ints; division by a divisor with leading
+coefficient 1 or -1 never leaves them.
+
 Canonical associates (used to normalize Smith divisors):
 
 * over ``Z``: the absolute value,
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class MixedRings(ValueError):
@@ -328,22 +336,34 @@ class LaurentPoly:
     """A Laurent polynomial over a base field, as a finitely supported map
     exponent -> coefficient.
 
+    Over ``Q`` every integral coefficient is stored as a Python ``int`` and
+    only the others as ``Fraction``; the constructor normalises whatever it
+    is given.  Nothing observable depends on it: ``3 == Fraction(3)``, their
+    hashes agree and both print as ``3``.
+
     >>> t = LaurentPoly.t(QQ)
     >>> (t - 1) * (t + 1) == t*t - 1
     True
     >>> (t**-2 + 1).support()
     (-2, 0)
+    >>> type(LaurentPoly(QQ, {0: Fraction(4, 2)}).coeffs[0]).__name__
+    'int'
     """
 
     __slots__ = ("base", "coeffs")
 
     def __init__(self, base, coeffs):
         self.base = base
-        self.coeffs = {e: c for e, c in coeffs.items() if not base.is_zero(c)}
+        self.coeffs = {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in coeffs.items()
+            if c
+        }
 
     @classmethod
     def t(cls, base, exponent=1):
-        return cls(base, {exponent: base.one})
+        # over Q the int 1, which keeps t and its powers on ints
+        return cls(base, {exponent: 1 if type(base) is RationalField else base.one})
 
     @classmethod
     def const(cls, base, c):
@@ -353,8 +373,8 @@ class LaurentPoly:
         return tuple(sorted(self.coeffs))
 
     def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            if other.base != self.base:
+        if type(other) is LaurentPoly:
+            if other.base is not self.base and other.base != self.base:
                 raise MixedRings("Laurent rings over different base fields")
             return other
         try:
@@ -402,7 +422,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = LaurentPoly.const(self.base, 1)
+        out = LaurentPoly.t(self.base, 0)
         for _ in range(n):
             out = out * self
         return out
@@ -415,7 +435,7 @@ class LaurentPoly:
         if not self.is_unit():
             raise ZeroDivisionError(f"{self!r} is not a unit in K[t,t^-1]")
         ((e, c),) = self.coeffs.items()
-        return LaurentPoly(self.base, {-e: self.base.unit_inverse(c)})
+        return LaurentPoly(self.base, {-e: _coeff_inverse(self.base, c)})
 
     def span(self):
         """max exponent - min exponent; the Euclidean size (0 for 0)."""
@@ -428,7 +448,9 @@ class LaurentPoly:
 
         Shift both operands to honest polynomials with nonzero constant
         term, divide in K[t], and shift back; the remainder's span is then
-        bounded by the polynomial remainder's degree.
+        bounded by the polynomial remainder's degree.  A divisor whose
+        leading coefficient is the int 1 or -1 (every monic Smith pivot)
+        keeps integer operands in ints throughout.
         """
         o = self._coerce(other)
         if not o.coeffs:
@@ -439,19 +461,25 @@ class LaurentPoly:
         a = {e - va: c for e, c in self.coeffs.items()}
         b = {e - vb: c for e, c in o.coeffs.items()}
         db = max(b)
-        inv_lead = self.base.unit_inverse(b[db])
+        inv_lead = _coeff_inverse(self.base, b[db])
         q = {}
-        while a and max(a) >= db:
+        while a:
             da = max(a)
+            if da < db:
+                break
             c = a[da] * inv_lead
             k = da - db
             q[k] = c
             for e, y in b.items():
-                v = a.get(e + k, self.base.zero) - c * y
-                if self.base.is_zero(v):
-                    a.pop(e + k, None)
+                i = e + k
+                # c * y is nonzero: the base is a field
+                v = a[i] - c * y if i in a else -(c * y)
+                if v:
+                    a[i] = v
                 else:
-                    a[e + k] = v
+                    del a[i]
+            if da in a:  # a leading term that fails to cancel never would
+                raise ArithmeticError("Laurent division left its leading term")
         quo = LaurentPoly(self.base, {e + va - vb: c for e, c in q.items()})
         rem = LaurentPoly(self.base, {e + va: c for e, c in a.items()})
         return quo, rem
@@ -470,6 +498,14 @@ class LaurentPoly:
 
     def __repr__(self):
         return format_poly_terms(sorted(self.coeffs.items()), "t", self.base)
+
+
+def _coeff_inverse(base, c):
+    """The inverse of a nonzero Laurent coefficient; the ints 1 and -1 are
+    their own inverses, so those stay ints."""
+    if type(c) is int and (c == 1 or c == -1):
+        return c
+    return base.unit_inverse(c)
 
 
 # ----------------------------------------------------------------------
@@ -722,15 +758,23 @@ class LaurentRing(Ring):
     def name(self):
         return "laurent" if self.base == QQ else f"laurent:{self.base.name}"
 
+    @property
+    def zero(self):
+        return LaurentPoly(self.base, {})
+
+    @property
+    def one(self):
+        return LaurentPoly.t(self.base, 0)
+
     def t(self, exponent=1):
         return LaurentPoly.t(self.base, exponent)
 
     def coerce(self, x):
-        if isinstance(x, LaurentPoly):
-            if x.base != self.base:
+        if type(x) is LaurentPoly:
+            if x.base is not self.base and x.base != self.base:
                 raise MixedRings("Laurent value over a different base field")
             return x
-        return LaurentPoly.const(self.base, self.base.coerce(x))
+        return LaurentPoly.const(self.base, x)
 
     def is_unit(self, a):
         return self.coerce(a).is_unit()
@@ -751,8 +795,7 @@ class LaurentRing(Ring):
         if not a:
             return a
         v = min(a.coeffs)
-        lead = a.coeffs[max(a.coeffs)]
-        inv = self.base.unit_inverse(lead)
+        inv = _coeff_inverse(self.base, a.coeffs[max(a.coeffs)])
         return LaurentPoly(self.base, {e - v: c * inv for e, c in a.coeffs.items()})
 
     def parse(self, s):
@@ -765,29 +808,27 @@ class LaurentRing(Ring):
     def content_unit(self, values):
         # Every nonzero scalar of the base field is a unit here, so rows can
         # be rescaled to primitive integer coefficients (primitive-PRS style
-        # growth control in Smith reduction).
-        fracs = []
+        # growth control in Smith reduction): divide by the gcd of the
+        # numerators, multiply by the lcm of the denominators.
+        nums, dens = [], []
         for v in values:
-            v = self.coerce(v)
-            for c in v.coeffs.values():
-                if isinstance(c, Fraction):
-                    fracs.append(c)
-                elif isinstance(c, CyclotomicElement):
-                    fracs.extend(c.coeffs)
+            for c in self.coerce(v).coeffs.values():
+                if type(c) is int:
+                    nums.append(c)
+                elif type(c) is Fraction:
+                    nums.append(c.numerator)
+                    dens.append(c.denominator)
+                elif type(c) is CyclotomicElement:
+                    for f in c.coeffs:
+                        if f:
+                            nums.append(f.numerator)
+                            dens.append(f.denominator)
                 else:
                     return self.one  # e.g. prime-field base: nothing to do
-        fracs = [f for f in fracs if f]
-        if not fracs:
+        if not nums:
             return self.one
-        from math import gcd, lcm
-
-        g = 0
-        l = 1
-        for f in fracs:
-            g = gcd(g, f.numerator)
-            l = lcm(l, f.denominator)
-        u = Fraction(l, g)
-        return self.coerce(u) if u != 1 else self.one
+        g, l = gcd(*nums), lcm(*dens)
+        return self.coerce(Fraction(l, g)) if l != g else self.one
 
 
 ZZ = IntegerRing()

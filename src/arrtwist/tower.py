@@ -287,6 +287,7 @@ class _Evaluator:
         self._rho_cache = {}
         self._word_cache = {}
         self._pieces_cache = {}
+        self._inverse_cache = {}
 
     def size(self, chain):
         return prod(self.tw.d(j) for j in chain)
@@ -298,7 +299,7 @@ class _Evaluator:
         if not chain:
             out = Matrix(self.ring, [[self.ring.t(sign * self.ch.of(gen))]], 1, 1)
         elif sign < 0:
-            out = self.rho_letter(gen, 1, chain).inverse()
+            out = self.inverse(self.rho_letter(gen, 1, chain))
         else:
             J, rest = chain[0], chain[1:]
             if gen[0] >= J:
@@ -318,6 +319,14 @@ class _Evaluator:
                     out.paste(r * s, c * s, val * gen_rest)
         self._rho_cache[key] = out
         return out
+
+    def inverse(self, m: Matrix) -> Matrix:
+        """``m.inverse()``, computed once per distinct matrix content: equal
+        Jacobians recur under different generators and chains."""
+        key = tuple(map(tuple, m.rows))
+        if key not in self._inverse_cache:
+            self._inverse_cache[key] = m.inverse()
+        return self._inverse_cache[key]
 
     def rho_level_word(self, w: FreeWord, level, chain) -> Matrix:
         """rho of a single-level word (letters all at ``level``)."""
@@ -498,7 +507,8 @@ class BooleanPiRank:
     :func:`rank_formula_general` on the Tor ranks of the complex;
     ``nonresonant_rank`` is the combinatorial value, or None when the
     character is resonant.  ``homology`` is the complete twisted homology and
-    ``complex`` the untruncated complex all of them were read from.
+    ``complex`` the Z^n complex, up to degree min(n, r + 1), all of them
+    were read from.
     """
 
     __slots__ = (
@@ -524,15 +534,17 @@ class BooleanPiRank:
 
 def boolean_pi_rank(arr, character) -> BooleanPiRank:
     """Every route to the pi_p rank of a generic-position arrangement with
-    Boolean ambient, from a single build of the full Z^n complex.
+    Boolean ambient, from a single build of the Z^n complex.
 
-    The complex's per-boundary cache means each boundary is eliminated once
-    for the presentation, the complete homology and the Tor ranks together.
+    The routes read the Tor ranks up to degree r and the presentation
+    d_(p+2) = d_(r+1), so the complex is built up to degree min(n, r + 1).
+    Its per-boundary cache means each boundary is eliminated once for the
+    presentation, the complete homology and the Tor ranks together.
     The routes are returned, not compared: callers decide how to report a
     disagreement.
     """
     p, u = boolean_units(arr, character)
-    full = build_koszul(u)
+    full = build_koszul(u, min(arr.n, arr.r + 1))
     presentation = PresentationSummary.of_boundary(full, p + 2)
     homology = complete_homology_generic_position(arr, u, full)
     tor_ranks = [full.homology(q).free_rank for q in range(arr.r + 1)]

@@ -4,7 +4,7 @@
 count of its Smith form; ``linalg.rank`` (fraction-free Bareiss) is the
 independent route these tests hold it against.  The call-count tests pin
 the reuse: no command eliminates the same boundary twice, builds the
-Z^n complex twice or validates a tower twice.
+Z^n complex twice or past the degrees it reads, or validates a tower twice.
 """
 
 import json
@@ -202,6 +202,42 @@ class TestOneEliminationPerBoundary:
         smith, builds = counted
         self._run(capsys, tmp_path, *argv)
         self._assert_once_per_boundary(smith, builds)
+
+
+GENERIC_R3_N6 = {
+    "r": 3,
+    "forms": [[i**k for k in range(3)] for i in range(7)],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, top",
+    [
+        # complete homology reads d_1 .. d_(r-1)
+        (("homology", "koszul", "--full"), 2),
+        # Tor ranks up to r and the presentation d_(r+1)
+        (("pi", "rank"), 4),
+        (("crosscheck",), 4),
+    ],
+)
+def test_koszul_built_only_to_the_degrees_read(capsys, tmp_path, monkeypatch, argv, top):
+    """r = 3, n = 6: no command builds a boundary above the degree it reads."""
+    tops = []
+
+    def wrapper(u, top_degree=None):
+        tops.append(top_degree)
+        return build_koszul(u, top_degree)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "arrtwist" or name.startswith("arrtwist."):
+            if getattr(mod, "build_koszul", None) is build_koszul:
+                monkeypatch.setattr(mod, "build_koszul", wrapper)
+    arr = tmp_path / "a.json"
+    arr.write_text(json.dumps(GENERIC_R3_N6))
+    code = main([*argv, "--arrangement", str(arr), "--weights=-6,1,1,1,1,1,1"])
+    capsys.readouterr()
+    assert code == 0
+    assert tops == [top]
 
 
 TOWER_3_LEVELS = {

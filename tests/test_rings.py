@@ -1,16 +1,21 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from arrtwist.rings import (
     CyclotomicElement,
     CyclotomicField,
+    LaurentPoly,
     LaurentRing,
     MixedRings,
     PrimeField,
+    PrimeFieldElement,
     QQ,
+    RationalField,
     ZZ,
     cyclotomic_poly,
+    format_poly_terms,
     ring_from_string,
     ring_of,
 )
@@ -184,3 +189,212 @@ class TestRingFromString:
         assert ring_from_string("laurent:cyclotomic:3") == LaurentRing(CyclotomicField(3))
         for name in ("Q", "Z", "F7", "cyclotomic:4", "laurent", "laurent:F3"):
             assert ring_from_string(name).name.lower() == name.lower()
+
+
+# ----------------------------------------------------------------------
+# Differential test of the Laurent scalar layer against a plain reference:
+# a Laurent polynomial is a dict exponent -> nonzero coefficient of the base
+# field (``Fraction`` over Q), with schoolbook arithmetic.
+
+
+def ref_norm(p):
+    return {e: c for e, c in p.items() if c}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return ref_norm(out)
+
+
+def ref_neg(p):
+    return {e: -c for e, c in p.items()}
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return ref_norm(out)
+
+
+def ref_divmod(a, b):
+    """Shift to polynomials, long division, shift back (see LaurentPoly)."""
+    if not a:
+        return {}, {}
+    va, vb = min(a), min(b)
+    rem = {e - va: c for e, c in a.items()}
+    den = {e - vb: c for e, c in b.items()}
+    db = max(den)
+    quo = {}
+    while rem and max(rem) >= db:
+        da = max(rem)
+        c = rem[da] / den[db]
+        quo[da - db] = c
+        rem = ref_add(rem, ref_mul({da - db: -c}, den))
+    return ({e + va - vb: c for e, c in quo.items()}, {e + va: c for e, c in rem.items()})
+
+
+def ref_canonical(a):
+    if not a:
+        return {}
+    v, lead = min(a), a[max(a)]
+    return {e - v: c / lead for e, c in a.items()}
+
+
+def ref_inverse(a):
+    ((e, c),) = a.items()
+    return {-e: 1 / c}
+
+
+def ref_content(polys):
+    """l / g over Q: l the lcm of the denominators, g the gcd of the
+    numerators of every rational coefficient; 1 over a prime field."""
+    nums, dens = [], []
+    for p in polys:
+        for c in p.values():
+            parts = c.coeffs if isinstance(c, CyclotomicElement) else [c]
+            for f in parts:
+                if isinstance(f, PrimeFieldElement):
+                    return Fraction(1)
+                if f:
+                    nums.append(f.numerator)
+                    dens.append(f.denominator)
+    if not nums:
+        return Fraction(1)
+    return Fraction(lcm(*dens), gcd(*nums))
+
+
+def ref_format(p, base):
+    return format_poly_terms(sorted(p.items()), "t", base)
+
+
+F5 = PrimeField(5)
+CYC3 = CyclotomicField(3)
+RATIONALS = [Fraction(k) for k in range(-4, 5)] + [
+    Fraction(1, 2), Fraction(-3, 2), Fraction(5, 4), Fraction(-2, 3), Fraction(7, 6),
+]
+
+
+def random_coeff(rnd, base):
+    if base is QQ:
+        return rnd.choice(RATIONALS)
+    if base is F5:
+        return F5.coerce(rnd.randint(-4, 4))
+    return CYC3.coerce(rnd.choice(RATIONALS)) + rnd.choice(RATIONALS) * CYC3.zeta()
+
+
+def random_ref(rnd, base, terms=4, integral=False):
+    out = {}
+    for _ in range(rnd.randint(0, terms)):
+        c = Fraction(rnd.randint(-3, 3)) if integral else random_coeff(rnd, base)
+        out[rnd.randint(-3, 3)] = c
+    return ref_norm(out)
+
+
+def assert_int_invariant(p):
+    """Over Q every integral coefficient is an int, every other a Fraction."""
+    for c in p.coeffs.values():
+        if type(c) is int:
+            continue
+        assert type(c) is Fraction and c.denominator != 1, (p, c)
+
+
+class TestLaurentAgainstReference:
+    BASES = [QQ, F5, CYC3]
+
+    def check(self, got, ref, base):
+        assert got.coeffs == ref
+        if base is QQ:
+            assert_int_invariant(got)
+            # hash and format read the same for int and Fraction coefficients
+            assert hash(got) == hash(("laurent", QQ, tuple(sorted(ref.items()))))
+        assert repr(got) == ref_format(ref, base)
+
+    @pytest.mark.parametrize("base", BASES, ids=["Q", "F5", "cyclotomic3"])
+    def test_ring_operations(self, rnd, base):
+        L = LaurentRing(base)
+        for trial in range(150):
+            integral = base is QQ and trial % 2 == 0
+            ra, rb = random_ref(rnd, base, integral=integral), random_ref(rnd, base, integral=integral)
+            a, b = LaurentPoly(base, ra), LaurentPoly(base, rb)
+            self.check(a, ra, base)
+            self.check(a + b, ref_add(ra, rb), base)
+            self.check(a - b, ref_add(ra, ref_neg(rb)), base)
+            self.check(a * b, ref_mul(ra, rb), base)
+            self.check(L.canonical(a), ref_canonical(ra), base)
+            assert (a == b) == (ra == rb)
+            assert a == LaurentPoly(base, dict(ra)) and hash(a) == hash(LaurentPoly(base, dict(ra)))
+            if rb:
+                q, r = a.divmod(b)
+                rq, rr = ref_divmod(ra, rb)
+                self.check(q, rq, base)
+                self.check(r, rr, base)
+                assert q * b + r == a
+            u = L.content_unit([a, b])
+            self.check(u, ref_norm({0: base.coerce(ref_content([ra, rb]))}), base)
+            if len(ra) == 1:
+                self.check(a.inverse(), ref_inverse(ra), base)
+                self.check(L.unit_inverse(a), ref_inverse(ra), base)
+
+    def test_divisors_with_unit_leads(self, rnd):
+        # leading coefficient +1 or -1: the int-only division path
+        for _ in range(300):
+            ra = random_ref(rnd, QQ, terms=6, integral=True)
+            rb = random_ref(rnd, QQ, terms=3, integral=True)
+            rb[max(rb, default=0) + 1] = Fraction(rnd.choice([1, -1]))
+            q, r = LaurentPoly(QQ, ra).divmod(LaurentPoly(QQ, rb))
+            rq, rr = ref_divmod(ra, rb)
+            assert (q.coeffs, r.coeffs) == (rq, rr)
+            assert all(type(c) is int for c in (*q.coeffs.values(), *r.coeffs.values()))
+
+    def test_int_coefficients_at_every_entry_point(self):
+        L = LaurentRing(QQ)
+        values = [
+            L.t(), L.t(-2), L.one, L.coerce(3), L.coerce(Fraction(6, 3)), L.coerce(L.t(4)),
+            LaurentPoly.const(QQ, Fraction(-4, 2)), LaurentPoly.t(QQ, 5) ** 2,
+            L.parse("2*t^-1 + 3/3 - 4/2*t"), L.parse("1/2*t + 2"),
+            L.unit_inverse(L.parse("-1/3*t^2")), L.canonical(L.parse("-2*t^-1 + 4")),
+            L.content_unit([L.parse("1/2*t + 3/4")]), L.content_unit([L.parse("6*t + 4")]),
+        ]
+        for v in values:
+            assert_int_invariant(v)
+        assert L.zero.coeffs == {} and L.one.coeffs == {0: 1}
+        assert L.content_unit([L.parse("6*t + 4")]) == Fraction(1, 2)
+        assert L.format(L.parse("1/2*t + 2")) == "2 + 1/2*t"
+
+    def test_mixed_bases_refused(self):
+        with pytest.raises(MixedRings):
+            LaurentPoly.t(QQ) + LaurentPoly.t(F5)
+        with pytest.raises(MixedRings):
+            LaurentRing(QQ).coerce(LaurentPoly.t(CYC3))
+        # an equal but distinct base object is the same ring
+        assert LaurentPoly.t(QQ) == LaurentPoly.t(RationalField())
+
+    @pytest.mark.parametrize(
+        "name, a, b, expected",
+        [
+            ("laurent:F5", "3*t^-1 + 2 + 4*t^2", "2 + 3*t",
+             ["3*t^-1 + 4 + 3*t + 4*t^2", "3*t^-1 + 2*t + 4*t^2",
+              "t^-1 + 3 + t + 3*t^2 + 2*t^3", "2*t^-1 + 3 + 3*t", "4*t^-1",
+              "2 + 3*t + t^3", "1", "1"]),
+            ("laurent:cyclotomic:3", "(1 + 2*z3)*t^-1 + 3 + t^2", "(2 - z3) + t",
+             ["(1 + 2*z3)*t^-1 + (5 - z3) + t + t^2", "(1 + 2*z3)*t^-1 + (1 + z3) - t + t^2",
+              "(4 + 5*z3)*t^-1 + (7 - z3) + 3*t + (2 - z3)*t^2 + t^3",
+              "(6 - 5*z3)*t^-1 + (-2 + z3) + t", "(-6 + 23*z3)*t^-1",
+              "(1 + 2*z3) + 3*t + t^3", "1", "1"]),
+            ("laurent:cyclotomic:3", "(2 + 4*z3)*t + 6", "(1/3)*t^2",
+             ["6 + (2 + 4*z3)*t + 1/3*t^2", "6 + (2 + 4*z3)*t - 1/3*t^2",
+              "2*t^2 + (2/3 + 4/3*z3)*t^3", "18*t^-2 + (6 + 12*z3)*t^-1", "0",
+              "(-1 - 2*z3) + t", "3", "1"]),
+        ],
+    )
+    def test_other_bases_unchanged(self, name, a, b, expected):
+        """Results over F5 and Q(zeta_3) as the Fraction-only layer gave them."""
+        L = ring_from_string(name)
+        a, b = L.parse(a), L.parse(b)
+        q, r = L.euclid_divmod(a, b)
+        got = [a + b, a - b, a * b, q, r, L.canonical(a), L.content_unit([a, b]), L.xgcd(a, b)[0]]
+        assert [L.format(x) for x in got] == expected

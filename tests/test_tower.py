@@ -6,6 +6,7 @@ import pytest
 from arrtwist.chain import decide_isomorphic
 from arrtwist.fox import FreeWord, GroupPresentation, alexander_complex
 from arrtwist.koszul import Disagreement, UnitAssignment, build_koszul
+from arrtwist.linalg import Matrix
 from arrtwist.rings import LaurentRing, QQ
 from arrtwist.tower import (
     DegreeUnavailable,
@@ -176,6 +177,29 @@ class TestBuildComplex:
         ch = TowerCharacter.from_lists(tw, [[1], [1, 1]])
         with pytest.raises(TowerInvalid):
             build_tower_complex(tw, ch)
+
+    def test_each_distinct_jacobian_inverted_once(self, monkeypatch):
+        # y1, y2, z1, z2 act alike with equal weights, so their Jacobians on
+        # level 4 coincide under several generators and chains
+        act = ["x1", "x1 x2 x1-1"]
+        tw = TowerSpec(
+            [2, 2, 2],
+            monodromy={(4, g): act for g in [(2, 0), (2, 1), (3, 0), (3, 1)]},
+            names={2: ["y1", "y2"], 3: ["z1", "z2"], 4: ["x1", "x2"]},
+        )
+        ch = TowerCharacter.from_lists(tw, [[1, 1], [-1, -1], [2, 1]])
+        seen = []
+        inverse = Matrix.inverse
+
+        def counted(m):
+            seen.append(tuple(map(tuple, m.rows)))
+            return inverse(m)
+
+        monkeypatch.setattr(Matrix, "inverse", counted)
+        cx = build_tower_complex(tw, ch)
+        assert seen and len(seen) == len(set(seen))
+        assert list(cx.ranks) == tw.poincare_coefficients() == [1, 6, 12, 8]
+        assert boundaries_vanish_at_one(cx)
 
 
 class TestTor:

@@ -101,12 +101,13 @@ class BettiData:
         return f"BettiData(betti={list(self.betti)}, euler={self.euler})"
 
 
-def _primitive(vec):
-    """The primitive integer vector on the line of a nonzero rational one."""
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (scale // x.denominator) for x in vec]
+def _primitive(ints):
+    """The primitive integer vector with a positive leading entry on the
+    line of a nonzero integer one, as a tuple."""
     g = gcd(*ints)
-    return [x // g for x in ints]
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 class Arrangement:
@@ -133,10 +134,19 @@ class Arrangement:
             self.forms.append(vec)
         # Ranks are taken over Z: scaling a form by a nonzero rational
         # changes no rank, and integer Bareiss avoids Fraction arithmetic.
-        self._int_forms = [_primitive(vec) for vec in self.forms]
-        for i, j in combinations(range(len(self.forms)), 2):
-            if self._rank_of((i, j)) < 2:
-                raise ValueError(f"hyperplanes {i} and {j} coincide")
+        self._int_forms = []
+        for vec in self.forms:
+            scale = lcm(*(x.denominator for x in vec))
+            self._int_forms.append(_primitive([int(x * scale) for x in vec]))
+        # proportional forms have equal primitive vectors; name the first pair
+        first, clashes = {}, []
+        for j, v in enumerate(self._int_forms):
+            i = first.setdefault(v, j)
+            if i != j:
+                clashes.append((i, j))
+        if clashes:
+            i, j = min(clashes)
+            raise ValueError(f"hyperplanes {i} and {j} coincide")
         self.labels = list(labels) if labels else [f"H{i}" for i in range(len(self.forms))]
         if len(self.labels) != len(self.forms):
             raise ValueError("one label per hyperplane")
@@ -176,20 +186,38 @@ class Arrangement:
 
     def central_flats(self):
         """All flats of the cone (closed index sets, the empty one included),
-        as a dict {frozenset: codim}."""
+        as a dict {frozenset: codim}.
+
+        Breadth first from the empty flat, each flat carrying an integer
+        echelon basis of its span as (pivot column, vector) pairs; a cover's
+        basis is its parent's plus one residual.  Reducing a form modulo the
+        basis, fraction-free and in basis order, is the linear projection
+        along the span up to a nonzero scale fixed by the basis: each vector
+        is zero at every earlier pivot, so no step undoes an earlier one.
+        Made primitive with a positive leading entry, two outside forms'
+        residuals are equal exactly when the forms span the same cover, so
+        a flat's covers are the groups of equal residuals, found in one pass
+        over the forms."""
         if self._flats is None:
             flats = {frozenset(): 0}
-            frontier = [frozenset()]
+            frontier = [(frozenset(), ())]
             while frontier:
                 nxt = []
-                for flat in frontier:
-                    for i in range(len(self.forms)):
+                for flat, basis in frontier:
+                    covers = {}  # residual -> its forms, by first index
+                    for i, v in enumerate(self._int_forms):
                         if i in flat:
                             continue
-                        new = self.closure(flat | {i})
+                        for p, b in basis:
+                            if v[p]:
+                                v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
+                        covers.setdefault(_primitive(v), []).append(i)
+                    for residual, members in covers.items():
+                        new = flat.union(members)
                         if new not in flats:
-                            flats[new] = self._rank_of(new)
-                            nxt.append(new)
+                            flats[new] = len(basis) + 1
+                            pivot = next(j for j, x in enumerate(residual) if x)
+                            nxt.append((new, basis + ((pivot, residual),)))
                 frontier = nxt
             self._flats = flats
         return self._flats

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import inf
 
 from .arrangement import (
@@ -337,7 +338,10 @@ def cmd_crosscheck(args):
 # -- parser -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process; ``parse_args``
+    fills a fresh namespace on every call and leaves the parser as it was."""
     ap = argparse.ArgumentParser(
         prog="arrtwist",
         description="Exact twisted homology of hyperplane arrangement complements",

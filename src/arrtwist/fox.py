@@ -322,7 +322,11 @@ def alexander_complex(pres: GroupPresentation, units, ring) -> FreeChainComplex:
     for u in units:
         if not ring.is_unit(u):
             raise ValueError(f"{ring.format(u)} is not invertible in {ring.name}")
-    inverses = [ring.unit_inverse(u) for u in units]
+    inverse_of = {}  # one inverse per distinct unit
+    for u in units:
+        if u not in inverse_of:
+            inverse_of[u] = ring.unit_inverse(u)
+    inverses = [inverse_of[u] for u in units]
     columns = []
     for r in pres.relators:
         col = [ring.zero] * n

@@ -5,7 +5,9 @@ presentation of the complement's fundamental group, b_1 of the Milnor fiber
 splits as the sum over t = 0..n of the twisted first Betti numbers where
 every meridian acts by u^t, u a primitive (n+1)-st root of unity.  All t are
 computed inside the single field Q(zeta_(n+1)); t = 0 is the untwisted case
-and must give n.
+and must give n.  When gcd(t, n+1) = gcd(s, n+1) the twisted matrices for t
+and s are Galois conjugate, so b_1^t = b_1^s; every t is still computed, and
+a computed spectrum that breaks this raises ``Disagreement``.
 
 If the complement embedded as a subcomplex of a minimal structure on the
 ambient Boolean complement (through degree 2), the twisted numbers for
@@ -15,6 +17,8 @@ arrangement realizing it.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .fox import GroupPresentation, NotMeridianMarked, alexander_complex
 from .koszul import Disagreement
@@ -70,9 +74,18 @@ def spectrum_from_presentation(pres: GroupPresentation) -> MilnorSpectrum:
         )
     values[0] = n
     K = CyclotomicField(n + 1)
+    by_gcd = {}
     for t in range(1, n + 1):
         units = [K.zeta(t)] * n
         values[t] = alexander_complex(pres, units, K).homology(1).free_rank
+        # zeta^t and zeta^s with gcd(t, n+1) = gcd(s, n+1) are Galois
+        # conjugate, and so are the twisted matrices and their ranks
+        first = by_gcd.setdefault(gcd(t, n + 1), t)
+        if values[t] != values[first]:
+            raise Disagreement(
+                f"b_1^{t} = {values[t]} but b_1^{first} = {values[first]}, "
+                f"though gcd({t}, {n + 1}) = gcd({first}, {n + 1})"
+            )
     return MilnorSpectrum(n, values)
 
 

@@ -16,12 +16,16 @@ supplies only coercion, inversion and parsing.  ``Ring.format`` is the
 values: ``int``, ``Fraction``, or one of the element classes below.  All
 values are immutable after construction and all operations are pure.
 
-Laurent polynomials over ``Q`` keep every integral coefficient as a Python
-``int`` and only the others as ``Fraction`` (the element values of ``Q``
-itself stay ``Fraction``).  The boundaries of this package have integer
-coefficients and Smith reduction keeps them primitive with monic pivots, so
-their elimination runs on ints; division by a divisor with leading
-coefficient 1 or -1 never leaves them.
+Laurent polynomials over ``Q`` and elements of ``Q(zeta_d)`` keep every
+integral coefficient as a Python ``int`` and only the others as
+``Fraction`` (the element values of ``Q`` itself stay ``Fraction``).  The
+boundaries of this package have integer coefficients and Smith reduction
+keeps them primitive with monic pivots, so their elimination runs on ints;
+division by a divisor with leading coefficient 1 or -1 never leaves them.
+``Phi_d`` is monic with integer coefficients, so cyclotomic products stay in
+ints too, and a cyclotomic inverse is taken through the norm (a product of
+Galois conjugates over one integer), not by a Euclidean algorithm over
+``Q[x]``.
 
 Canonical associates (used to normalize Smith divisors):
 
@@ -57,68 +61,51 @@ def _poly_trim(c):
     return tuple(c)
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _poly_scale(a, s):
-    return _poly_trim(x * s for x in a)
-
-
 def _poly_mul(a, b):
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                if y:
+                    out[i + j] += x * y
     return _poly_trim(out)
 
 
 def _poly_divmod(a, b):
-    """Exact division with remainder in Q[x]."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Division with remainder by a monic divisor ``b`` (every ``Phi_d`` is
+    monic with integer coefficients), so integer operands stay ints."""
+    top = len(b) - 1
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = Fraction(1) / Fraction(b[-1])
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv_lead
-        k = len(a) - len(b)
-        q[k] = c
-        for j, y in enumerate(b):
-            a[k + j] -= c * y
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
+    q = [0] * max(len(a) - top, 0)
+    for k in range(len(a) - 1 - top, -1, -1):
+        c = a[k + top]
+        if c:
+            q[k] = c
+            for j in range(top):
+                a[k + j] -= c * b[j]
+    return _poly_trim(q), _poly_trim(a[:top])
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> tuple:
-    """Coefficients of the d-th cyclotomic polynomial, constant term first.
+    """Coefficients of the d-th cyclotomic polynomial, constant term first,
+    as Python ints (``Phi_d`` is monic with integer coefficients).
 
     Computed by dividing ``x^d - 1`` by ``Phi_e`` for every proper divisor
     ``e`` of ``d``.
 
     >>> cyclotomic_poly(1)
-    (Fraction(-1, 1), Fraction(1, 1))
+    (-1, 1)
     >>> cyclotomic_poly(3)
-    (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
+    (1, 1, 1)
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if d == 1:
-        return (Fraction(-1), Fraction(1))
-    num = tuple(
-        Fraction(-1) if i == 0 else Fraction(1) if i == d else Fraction(0)
-        for i in range(d + 1)
-    )
+        return (-1, 1)
+    num = (-1,) + (0,) * (d - 1) + (1,)
     for e in range(1, d):
         if d % e == 0:
             num, rem = _poly_divmod(num, cyclotomic_poly(e))
@@ -226,26 +213,33 @@ class CyclotomicElement:
     """An element of Q(zeta_d), a coefficient vector modulo Phi_d.
 
     ``coeffs`` has length exactly ``phi(d) = deg Phi_d``; index k holds the
-    coefficient of ``zeta_d^k``.
+    coefficient of ``zeta_d^k``.  Every integral coefficient is stored as a
+    Python ``int`` and only the others as ``Fraction``; the constructor
+    normalises whatever it is given.  ``Phi_d`` is monic with integer
+    coefficients, so products of integral elements never leave ints.
 
     >>> z = CyclotomicElement.zeta(3)
     >>> z * z * z == 1
     True
     >>> z * z + z + 1 == 0
     True
+    >>> CyclotomicElement(3, [Fraction(4, 2), 0, 1]).coeffs
+    (1, -1)
     """
 
     __slots__ = ("d", "coeffs")
 
     def __init__(self, d, coeffs):
-        phi = len(cyclotomic_poly(d)) - 1
-        coeffs = [Fraction(c) for c in coeffs]
+        modulus = cyclotomic_poly(d)
+        phi = len(modulus) - 1
+        coeffs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
         if len(coeffs) > phi:
-            _, rem = _poly_divmod(tuple(coeffs), cyclotomic_poly(d))
-            coeffs = list(rem)
-        coeffs += [Fraction(0)] * (phi - len(coeffs))
+            coeffs = _poly_divmod(coeffs, modulus)[1]
         self.d = d
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(
+            c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for c in coeffs
+        ) + (0,) * (phi - len(coeffs))
 
     @classmethod
     def zeta(cls, d, power=1):
@@ -253,19 +247,19 @@ class CyclotomicElement:
         return cls(d, [0] * power + [1])
 
     def _coerce(self, other):
-        if isinstance(other, CyclotomicElement):
+        if type(other) is CyclotomicElement:
             if other.d != self.d:
                 raise MixedRings(f"Q(zeta_{self.d}) vs Q(zeta_{other.d})")
             return other
         if isinstance(other, (int, Fraction)):
-            return CyclotomicElement(self.d, [Fraction(other)])
+            return CyclotomicElement(self.d, [other])
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return CyclotomicElement(self.d, _poly_add(self.coeffs, o.coeffs))
+        return CyclotomicElement(self.d, [x + y for x, y in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
@@ -276,7 +270,7 @@ class CyclotomicElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        return CyclotomicElement(self.d, [x - y for x, y in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -290,19 +284,29 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse via the extended Euclidean algorithm against Phi_d."""
+        """Inverse through the norm.
+
+        Write ``self = A / den`` with ``A`` integral, and let ``B`` be the
+        product of the Galois conjugates ``sigma_k(A)`` (``zeta -> zeta^k``)
+        over ``1 < k < d`` prime to ``d``.  Then ``N = A * B`` is the norm
+        of ``A``, a nonzero integer, and ``self^-1 = den * B / N``; every
+        step before the last division runs on ints."""
         if not any(self.coeffs):
             raise ZeroDivisionError(f"0 has no inverse in Q(zeta_{self.d})")
-        # Maintain u*self + v*Phi_d == r while reducing (r0, r1).
-        r0, r1 = _poly_trim(self.coeffs), cyclotomic_poly(self.d)
-        u0, u1 = (Fraction(1),), ()
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, _poly_add(u0, _poly_scale(_poly_mul(q, u1), -1))
-        if len(r0) != 1:  # Phi_d is irreducible, so only a multiple of it fails
-            raise ZeroDivisionError(f"not invertible in Q(zeta_{self.d})")
-        return CyclotomicElement(self.d, _poly_scale(u0, Fraction(1) / r0[0]))
+        d = self.d
+        den = lcm(*(c.denominator for c in self.coeffs))
+        A = CyclotomicElement(d, [c * den for c in self.coeffs])
+        B = CyclotomicElement(d, [1])
+        for k in range(2, d):
+            if gcd(k, d) == 1:
+                image = [0] * d
+                for j, c in enumerate(A.coeffs):
+                    image[j * k % d] += c
+                B = B * CyclotomicElement(d, image)
+        norm = (A * B).coeffs
+        if any(norm[1:]):  # the norm of a nonzero element is a nonzero rational
+            raise ArithmeticError(f"the norm of {self!r} is not rational")
+        return CyclotomicElement(d, [Fraction(c * den, norm[0]) for c in B.coeffs])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -734,7 +738,7 @@ class CyclotomicField(Field):
                 raise MixedRings(f"zeta_{x.d} element in Q(zeta_{self.d})")
             return x
         if isinstance(x, (int, Fraction)):
-            return CyclotomicElement(self.d, [Fraction(x)])
+            return CyclotomicElement(self.d, [x])
         raise MixedRings(f"cannot view {x!r} in Q(zeta_{self.d})")
 
     def unit_inverse(self, a):

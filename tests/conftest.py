@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from arrtwist.fox import FreeWord
+from arrtwist.fox import FreeWord, GroupPresentation
 from arrtwist.tower import TowerSpec, TowerCharacter
 
 
@@ -12,6 +12,18 @@ def random_word(rnd, n_gens, max_len=12):
         for _ in range(rnd.randint(0, max_len))
     ]
     return FreeWord(letters)
+
+
+def conjugated_commutators(rnd, n, m):
+    """m relators w [x_i, x_j] w^-1: each dies under any commuting units."""
+    rels = []
+    for _ in range(m):
+        i, j = rnd.sample(range(n), 2)
+        w = random_word(rnd, n, 6)
+        x = random_word(rnd, n, 2) * FreeWord.generator(i)
+        y = FreeWord.generator(j) * random_word(rnd, n, 2)
+        rels.append(w * x * y * x.inverse() * y.inverse() * w.inverse())
+    return GroupPresentation(n, rels, meridian_marked=True)
 
 
 def _mccool_move(rnd, d):

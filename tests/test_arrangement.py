@@ -246,3 +246,79 @@ class TestJson:
         a = Arrangement(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, Fraction(1, 2), 1]])
         b = Arrangement.from_json(a.to_json())
         assert b.forms == a.forms and b.r == a.r
+
+
+def closure_flats(arr):
+    """Every flat by breadth-first search over closures, one closure per
+    (flat, form): the oracle for the echelon-projection search."""
+    flats = {frozenset(): 0}
+    frontier = [frozenset()]
+    while frontier:
+        nxt = []
+        for flat in frontier:
+            for i in range(len(arr.forms)):
+                if i not in flat:
+                    new = arr.closure(flat | {i})
+                    if new not in flats:
+                        flats[new] = arr._rank_of(new)
+                        nxt.append(new)
+        frontier = nxt
+    return flats
+
+
+def stirling2(n, k):
+    """Partitions of an n-set into k blocks."""
+    row = [1] + [0] * k  # S(0, j)
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def proportional(u, v):
+    return all(u[a] * v[b] == u[b] * v[a] for a, b in combinations(range(len(u)), 2))
+
+
+class TestLatticeAgainstClosureSearch:
+    def test_random_degenerate_arrangements(self, rnd):
+        checked = 0
+        while checked < 300:
+            r = rnd.randint(2, 5)
+            count = rnd.randint(2, 8 if r < 5 else 7)
+            forms = [
+                [Fraction(rnd.randint(-2, 2), rnd.choice((1, 1, 1, 2, 3))) for _ in range(r)]
+                for _ in range(count)
+            ]
+            try:
+                arr = Arrangement(r, forms)
+            except ValueError:
+                continue  # a zero or repeated hyperplane
+            checked += 1
+            got = arr.central_flats()
+            want = closure_flats(Arrangement(r, forms))
+            assert got == want, forms
+            assert list(got) == list(want), forms  # same discovery order
+
+    @pytest.mark.parametrize("k", (4, 5, 6))
+    def test_braid_flats_are_set_partitions(self, k):
+        # flats of A_k are the partitions of k+1 points; codim c has S(k+1, k+1-c)
+        flats = braid(k).central_flats()
+        for c in range(k + 1):
+            assert sum(1 for v in flats.values() if v == c) == stirling2(k + 1, k + 1 - c)
+        assert len(flats) == {4: 52, 5: 203, 6: 877}[k]
+
+    def test_repeated_hyperplane_named_as_before(self, rnd):
+        # the first proportional pair in (i, j) order, as pairwise ranks found it
+        seen = 0
+        while seen < 40:
+            r = rnd.randint(2, 4)
+            forms = [[rnd.randint(-2, 2) for _ in range(r)] for _ in range(rnd.randint(2, 7))]
+            if not all(any(f) for f in forms):
+                continue
+            pairs = [(i, j) for i, j in combinations(range(len(forms)), 2)
+                     if proportional(forms[i], forms[j])]
+            if not pairs:
+                continue
+            seen += 1
+            with pytest.raises(ValueError) as err:
+                Arrangement(r, forms)
+            assert str(err.value) == f"hyperplanes {pairs[0][0]} and {pairs[0][1]} coincide"

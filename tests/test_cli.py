@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from arrtwist.cli import main
+from arrtwist.cli import build_parser, main
 from arrtwist.tower import TowerSpec, check_tower
 
 
@@ -93,6 +94,26 @@ class TestArrCommands:
         _, out1 = run(capsys, "arr", "lattice", "--arrangement", arr)
         _, out2 = run(capsys, "arr", "lattice", "--arrangement", arr)
         assert out1 == out2
+
+
+class TestParser:
+    def test_two_calls_share_one_parser(self, capsys, tmp_path, monkeypatch):
+        assert build_parser() is build_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        arr = write(tmp_path, "a.json", GENERIC5)
+        koszul = ["homology", "koszul", "--arrangement", arr, "--weights=-4,1,1,1,1"]
+        outs = [run(capsys, *argv) for argv in (koszul, koszul + ["--full"], koszul)]
+        assert built == []
+        # each call parses into a fresh namespace: --full does not stick
+        assert outs[0] == outs[2] != outs[1]
+        assert all(code == 0 for code, _ in outs)
 
 
 class TestHomologyCommands:

@@ -14,7 +14,6 @@ import pytest
 
 from arrtwist.arrangement import Arrangement
 from arrtwist.fox import (
-    FreeWord,
     GroupPresentation,
     RelatorNotKilled,
     alexander_complex,
@@ -31,7 +30,7 @@ from arrtwist.rings import (
     PrimeField,
 )
 
-from conftest import random_word
+from conftest import conjugated_commutators
 
 FIELDS = [QQ, CyclotomicField(5), CyclotomicField(7), CyclotomicField(8), PrimeField(7)]
 
@@ -123,18 +122,6 @@ class TestFieldRank:
         assert len(calls) == 5
 
 
-def conjugated_commutators(rnd, n, m):
-    """m relators w [x_i, x_j] w^-1: each dies under any commuting units."""
-    rels = []
-    for _ in range(m):
-        i, j = rnd.sample(range(n), 2)
-        w = random_word(rnd, n, 6)
-        x = random_word(rnd, n, 2) * FreeWord.generator(i)
-        y = FreeWord.generator(j) * random_word(rnd, n, 2)
-        rels.append(w * x * y * x.inverse() * y.inverse() * w.inverse())
-    return GroupPresentation(n, rels, meridian_marked=True)
-
-
 def random_units(rnd, ring, n):
     if isinstance(ring, LaurentRing):
         return [
@@ -163,6 +150,25 @@ class TestFoxAssembly:
             for k, r in enumerate(pres.relators):
                 for j in range(n):
                     assert d2[j, k] == specialize(fox_derivative(r, j), units, ring)
+
+    def test_one_inverse_per_distinct_unit(self, rnd, monkeypatch):
+        K = CyclotomicField(7)
+        calls = []
+        unit_inverse = K.unit_inverse
+
+        def counted(u):
+            calls.append(u)
+            return unit_inverse(u)
+
+        monkeypatch.setattr(K, "unit_inverse", counted)
+        pres = conjugated_commutators(rnd, 4, 3)
+        for units, distinct in (([K.zeta(3)] * 4, 1), ([K.zeta(1), K.zeta(2)] * 2, 2)):
+            calls.clear()
+            d2 = alexander_complex(pres, units, K).boundary(2)
+            assert len(calls) == distinct
+            for k, r in enumerate(pres.relators):
+                for j in range(4):
+                    assert d2[j, k] == specialize(fox_derivative(r, j), units, K)
 
     def test_first_surviving_relator_named(self):
         L = LaurentRing(QQ)

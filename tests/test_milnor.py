@@ -1,7 +1,12 @@
 import pytest
 
+from arrtwist import milnor
 from arrtwist.fox import FreeWord, GroupPresentation, NotMeridianMarked
+from arrtwist.koszul import Disagreement
 from arrtwist.milnor import MilnorSpectrum, obstruction_report, spectrum_from_presentation
+from arrtwist.rings import CyclotomicField
+
+from conftest import conjugated_commutators
 
 
 def pencil_presentation():
@@ -94,3 +99,37 @@ class TestNonabelianSpectrum:
         s = spectrum_from_presentation(p)
         assert s.values == (2, 0, 0)
         assert s.b1_total == 2
+
+
+class TestGaloisClasses:
+    def perturb(self, monkeypatch, ts):
+        """Compute b_1^t for t in ``ts`` with trivial units instead."""
+        original = milnor.alexander_complex
+
+        def perturbed(pres, units, ring):
+            if isinstance(ring, CyclotomicField) and any(units[0] == ring.zeta(t) for t in ts):
+                units = [ring.one] * len(units)
+            return original(pres, units, ring)
+
+        monkeypatch.setattr(milnor, "alexander_complex", perturbed)
+
+    def test_one_perturbed_t_disagrees(self, monkeypatch):
+        self.perturb(monkeypatch, [2])
+        with pytest.raises(Disagreement, match="gcd"):
+            spectrum_from_presentation(GroupPresentation.commutative(5))
+
+    def test_perturbed_conjugate_pair_disagrees(self, monkeypatch):
+        # t = 2 and t = 3 are complex conjugates for n + 1 = 5, so the
+        # conjugation check alone would accept (4, 0, 4, 4, 0)
+        self.perturb(monkeypatch, [2, 3])
+        with pytest.raises(Disagreement, match="gcd"):
+            spectrum_from_presentation(GroupPresentation.commutative(4))
+
+    @pytest.mark.parametrize("n", (4, 6))
+    def test_prime_n_plus_1_never_obstructed(self, rnd, n):
+        # every t in 1..n has gcd 1 with the prime n + 1: the tail is constant
+        presentations = [GroupPresentation.commutative(n), GroupPresentation(n, (), meridian_marked=True)]
+        presentations += [conjugated_commutators(rnd, n, rnd.randint(1, n)) for _ in range(6)]
+        for pres in presentations:
+            rep = obstruction_report(spectrum_from_presentation(pres))
+            assert rep["constant_tail"] and rep["verdict"] == "not_obstructed", pres.relators

@@ -50,6 +50,15 @@ class Homology:
         }
 
 
+def _check_ranks(ranks, nbounds):
+    """Refuse negative ranks and a boundary count other than one per degree
+    1..top, before any boundary is read."""
+    if any(r < 0 for r in ranks):
+        raise ValueError(f"ranks must be nonnegative, got {list(ranks)}")
+    if nbounds != max(len(ranks) - 1, 0):
+        raise ValueError("need one boundary map per degree 1..top")
+
+
 class FreeChainComplex:
     """C_0 <- C_1 <- ... <- C_top with free modules of the given ranks.
 
@@ -64,12 +73,11 @@ class FreeChainComplex:
 
     __slots__ = ("ring", "ranks", "boundaries", "_eliminations")
 
-    def __init__(self, ring: Ring, ranks, boundaries, check=True):
+    def __init__(self, ring: Ring, ranks, boundaries):
         self.ring = ring
         self.ranks = tuple(int(r) for r in ranks)
         self.boundaries = list(boundaries)
-        if len(self.boundaries) != max(len(self.ranks) - 1, 0):
-            raise ValueError("need one boundary map per degree 1..top")
+        _check_ranks(self.ranks, len(self.boundaries))
         for q, d in enumerate(self.boundaries, start=1):
             if (d.nrows, d.ncols) != (self.ranks[q - 1], self.ranks[q]):
                 raise ValueError(
@@ -78,11 +86,9 @@ class FreeChainComplex:
                 )
             if d.ring != ring:
                 raise MixedRings("boundary over a different ring")
-        if check:
-            for q in range(1, len(self.boundaries)):
-                prod = self.boundaries[q - 1] * self.boundaries[q]
-                if not prod.is_zero():
-                    raise ValueError(f"d_{q} . d_{q+1} != 0: not a chain complex")
+        for q in range(1, len(self.boundaries)):
+            if not (self.boundaries[q - 1] * self.boundaries[q]).is_zero():
+                raise ValueError(f"d_{q} . d_{q+1} != 0: not a chain complex")
         self._eliminations = [None] * len(self.boundaries)
 
     @property
@@ -175,6 +181,7 @@ class FreeChainComplex:
         data = json.loads(text) if isinstance(text, str) else text
         ring = ring_from_string(data["ring"])
         ranks = [int(r) for r in data["ranks"]]
+        _check_ranks(ranks, len(data["boundaries"]))
         bnds = []
         for q, flat in enumerate(data["boundaries"], start=1):
             nr, nc = ranks[q - 1], ranks[q]

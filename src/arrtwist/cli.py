@@ -96,6 +96,15 @@ def _homology_json(entries, ring):
     return {str(q): h.describe(ring) for q, h in sorted(entries.items())}
 
 
+def _presentation_json(ps):
+    """The cokernel fields ``pi rank`` reports for either path."""
+    return {
+        "rank": ps.cokernel.free_rank,
+        "invariant_factors": [ps.ring.format(d) for d in ps.cokernel.torsion],
+        "matrix_shape": [ps.matrix.nrows, ps.matrix.ncols],
+    }
+
+
 def _units_from_weights(ring, weights):
     if isinstance(ring, LaurentRing):
         return [ring.t(w) for w in weights]
@@ -227,13 +236,10 @@ def cmd_milnor_obstruct(args):
     if args.spectrum:
         values = _weights(args.spectrum)
         n = args.n if args.n is not None else len(values) - 1
-        spec = MilnorSpectrum(n, values)
-    elif args.presentation is None:
+        return obstruction_report(MilnorSpectrum(n, values))
+    if args.presentation is None:
         raise ValueError("milnor obstruct needs --spectrum or --presentation")
-    else:
-        pres = GroupPresentation.from_json(_load(args.presentation))
-        spec = spectrum_from_presentation(pres)
-    return obstruction_report(spec)
+    return cmd_milnor_spectrum(args)
 
 
 def cmd_pi_rank(args):
@@ -244,25 +250,14 @@ def cmd_pi_rank(args):
         if args.p is None:
             raise ValueError("--p is required with --tower")
         ps = pi_p_presentation_fibertype(tw, args.p, ch)
-        return {
-            "path": "fibertype",
-            "p": args.p,
-            "rank": ps.cokernel.free_rank,
-            "invariant_factors": [ps.ring.format(d) for d in ps.cokernel.torsion],
-            "matrix_shape": [ps.matrix.nrows, ps.matrix.ncols],
-        }
+        return {"path": "fibertype", "p": args.p, **_presentation_json(ps)}
     if args.arrangement is None:
         raise ValueError("pi rank needs --arrangement or --tower")
     arr = Arrangement.from_json(_load(args.arrangement))
     pi = boolean_pi_rank(arr, _character(arr, args.weights))
     ps = pi.presentation
     report = {
-        "path": "boolean",
-        "p": pi.p,
-        "rank": ps.cokernel.free_rank,
-        "invariant_factors": [ps.ring.format(d) for d in ps.cokernel.torsion],
-        "matrix_shape": [ps.matrix.nrows, ps.matrix.ncols],
-        "rank_formula": pi.formula,
+        "path": "boolean", "p": pi.p, "rank_formula": pi.formula, **_presentation_json(ps)
     }
     if pi.formula != ps.cokernel.free_rank:
         raise Disagreement(
@@ -317,8 +312,7 @@ def cmd_crosscheck(args):
     if args.presentation:
         pres = GroupPresentation.from_json(_load(args.presentation))
         ring = u.ring
-        units = [ring.t(ch[i]) for i in range(1, arr.n + 1)]
-        ac = alexander_complex(pres, units, ring)
+        ac = alexander_complex(pres, u.units, ring)
         rng = generic_range_homology(arr, u, pi.complex)
         for q in (0, 1):
             if q in rng.entries:

@@ -257,6 +257,8 @@ class GroupPresentation:
 
     def __init__(self, n, relators=(), meridian_marked=False, names=None):
         self.n = int(n)
+        if self.n < 0:
+            raise ValueError(f"generator count must be nonnegative, got {self.n}")
         self.relators = [
             r if isinstance(r, FreeWord) else FreeWord.parse(r, names=names)
             for r in relators

@@ -25,7 +25,7 @@ from .chain import FreeChainComplex, Homology
 # ``rank`` is no longer called here but stays importable as ``koszul.rank``:
 # the benchmark's tracer self-test (bench/test_bench.py) checks that binding.
 from .linalg import Matrix, rank  # noqa: F401
-from .rings import LaurentRing, Ring, UnsupportedRing
+from .rings import LaurentRing, QQ, Ring, UnsupportedRing
 
 
 class Disagreement(RuntimeError):
@@ -39,17 +39,15 @@ def colex_subsets(n, q):
 
 class UnitAssignment:
     """Invertible scalars (or commuting invertible matrices) assigned to the
-    n generators, acting on a coefficient module of the given rank."""
+    n generators, acting on a coefficient module whose rank is the size of
+    the matrix units (1 when the first unit is a scalar)."""
 
-    def __init__(self, ring: Ring, units, module_rank=None):
+    def __init__(self, ring: Ring, units):
         self.ring = ring
         self.units = list(units)
         self.n = len(self.units)
-        if module_rank is None:
-            module_rank = (
-                self.units[0].nrows if self.units and isinstance(self.units[0], Matrix) else 1
-            )
-        self.module_rank = module_rank
+        first = self.units[0] if self.units else None
+        self.module_rank = module_rank = first.nrows if isinstance(first, Matrix) else 1
         self._slot = []  # (u^-1 - 1) per generator, as a module_rank x module_rank block
         for u in self.units:
             if isinstance(u, Matrix):
@@ -75,12 +73,10 @@ class UnitAssignment:
                         )
 
     @classmethod
-    def from_character(cls, character: Character, base_field=None):
-        """Units t^(gamma_i), i = 1..n, over K[t,t^-1]; the weight of H_0 is
+    def from_character(cls, character: Character):
+        """Units t^(gamma_i), i = 1..n, over Q[t,t^-1]; the weight of H_0 is
         determined by the zero-sum constraint and plays no role here."""
-        from .rings import QQ
-
-        ring = LaurentRing(base_field or QQ)
+        ring = LaurentRing(QQ)
         return cls(ring, [ring.t(character[i]) for i in range(1, len(character))])
 
     def slot_block(self, i) -> Matrix:
@@ -277,7 +273,7 @@ class PresentationSummary:
         return cls(cx.boundary(q), cx.cokernel(q), cx.ring)
 
 
-def boolean_units(arr: Arrangement, character: Character, base_field=None):
+def boolean_units(arr: Arrangement, character: Character):
     """(p, units t^(gamma_i)) for a character of a generic-position
     arrangement with Boolean ambient; refuses everything else."""
     p, is_gp = arr.generic_position_profile()
@@ -285,12 +281,10 @@ def boolean_units(arr: Arrangement, character: Character, base_field=None):
         raise NotGenericPosition("needs generic position (c = r + 1, n + 1 > r)")
     if len(character) != arr.n + 1:
         raise ValueError(f"need {arr.n + 1} weights")
-    return p, UnitAssignment.from_character(character, base_field)
+    return p, UnitAssignment.from_character(character)
 
 
-def pi_p_presentation_boolean(
-    arr: Arrangement, character: Character, base_field=None
-) -> PresentationSummary:
+def pi_p_presentation_boolean(arr: Arrangement, character: Character) -> PresentationSummary:
     """Presentation of the character-abelianized first higher homotopy group
     for generic-position arrangements with Boolean ambient.
 
@@ -299,5 +293,5 @@ def pi_p_presentation_boolean(
     summary lists its free rank over K[t,t^-1] and the non-unit invariant
     factors.
     """
-    p, u = boolean_units(arr, character, base_field)
+    p, u = boolean_units(arr, character)
     return PresentationSummary.of_boundary(build_koszul(u, min(p + 2, arr.n)), p + 2)

@@ -8,11 +8,14 @@ from the Smith form, which is far cheaper on Laurent boundaries (see
 :mod:`arrtwist.chain`).  Smith normal forms use the classical
 elementary-operation algorithm over a Euclidean ring with smallest-size
 pivoting; divisors are reported as canonical associates
-(positive over Z, valuation-0 monic over K[t,t^-1]).  The optional left and
-right transforms are carried as identity blocks beside and below the
-matrix, so the row and column operations update them without extra code.
-Kernel bases come from the right transform, which over a PID yields a
-basis of the kernel of the map of free modules (automatically saturated).
+(positive over Z, valuation-0 monic over K[t,t^-1]).  Each elementary step
+is written once, as a row step: column steps are row steps on the
+transposed working array.  The optional left and right transforms are
+carried as identity blocks beside and below the matrix, so the same steps
+update them without extra code.  :meth:`Matrix.inverse` reads the inverse
+off the transforms over every ring.  Kernel bases come from the right
+transform, which over a PID yields a basis of the kernel of the map of free
+modules (automatically saturated).
 
 Matrices are immutable-by-convention dense row-major arrays, except that
 :meth:`Matrix.paste` writes blocks into one still being assembled;
@@ -143,14 +146,8 @@ class Matrix:
             out.append(acc)
         return Matrix(self.ring, out, self.nrows, other.ncols)
 
-    def __rmul__(self, other):
-        s = self.ring.coerce(other)
-        return Matrix(
-            self.ring,
-            [[s * x for x in r] for r in self.rows],
-            self.nrows,
-            self.ncols,
-        )
+    # every ring here is commutative, so a scalar may stand on either side
+    __rmul__ = __mul__
 
     def _check_compat(self, other, same_shape=False):
         if self.ring != other.ring:
@@ -167,33 +164,16 @@ class Matrix:
         )
 
     def inverse(self):
-        """Exact inverse; works over fields and whenever the matrix is
-        invertible over the ring itself (determinant a unit)."""
+        """Exact inverse over any of the rings, ``right * left`` from the
+        Smith form: ``left * self * right`` is the identity exactly when every
+        divisor is a unit (the canonical associate of a unit is 1).  Raises
+        ``ZeroDivisionError`` when the matrix is not invertible over its ring,
+        which over a field means singular."""
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
-        R = self.ring
-        n = self.nrows
-        if R.is_field:
-            # Gauss-Jordan on an augmented matrix.
-            eye = Matrix.identity(R, n).rows
-            a = [row + e for row, e in zip(self.rows, eye)]
-            for c in range(n):
-                piv = next((i for i in range(c, n) if not R.is_zero(a[i][c])), None)
-                if piv is None:
-                    raise ZeroDivisionError("matrix is singular")
-                a[c], a[piv] = a[piv], a[c]
-                inv = R.unit_inverse(a[c][c])
-                a[c] = [x * inv for x in a[c]]
-                for i in range(n):
-                    if i != c and not R.is_zero(a[i][c]):
-                        f = a[i][c]
-                        a[i] = [a[i][j] - f * a[c][j] for j in range(2 * n)]
-            return Matrix(R, [row[n:] for row in a], n, n)
         form = smith_normal_form(self, transforms=True)
-        if form.rank != n or not all(R.is_unit(d) for d in form.divisors):
+        if form.rank != self.nrows or not all(self.ring.is_unit(d) for d in form.divisors):
             raise ZeroDivisionError("matrix is not invertible over its ring")
-        # left * self * right = diag(divisors), and the canonical associate
-        # of a unit is 1, so self^{-1} = right * left
         return form.right * form.left
 
     def det(self):
@@ -313,18 +293,31 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
     divisor chain; with ``transforms=True``, invertible ``left`` and
     ``right`` with ``left * m * right`` diagonal are returned as well.
 
-    The transforms ride along in the working array: ``left`` starts as an
-    identity block to the right of the rows and ``right`` as an identity
-    block below the columns, so every row operation updates ``left`` and
-    every column operation updates ``right``.  Pivot search, clearing and
-    content scaling read only the top-left ``nr x nc`` block.
+    Every elementary step is a row step.  A column step on ``m`` is the same
+    row step on its transpose, whose Smith form is the transpose of that of
+    ``m``; so the pivot row is cleared by transposing the working array,
+    clearing the pivot column, and transposing back (skipped when the row is
+    already clear).  The transforms ride along in the working array:
+    ``left`` starts as an identity block to the right of the rows, ``right``
+    as an identity block below the columns, and an ``nc x nr`` zero block
+    pads the array to a square.  Transposing swaps the roles of the two
+    blocks, so each row step updates ``left`` in one orientation and
+    ``right`` in the other.  Pivot search, clearing and content scaling read
+    only the top-left ``nr x nc`` block of the current orientation.
     """
     R = m.ring
     nr, nc = m.nrows, m.ncols
     a = [r[:] for r in m.rows]
     if transforms:
         a = [r + e for r, e in zip(a, Matrix.identity(R, nr).rows)]
-        a += Matrix.identity(R, nc).rows
+        a += [e + [R.zero] * nr for e in Matrix.identity(R, nc).rows]
+
+    def transpose():
+        nonlocal a, nr, nc
+        # map drops each column tuple before the next, so zip reuses one
+        # tuple instead of allocating a fresh one per column
+        a = list(map(list, zip(*a)))
+        nr, nc = nc, nr
 
     def scale_row(i, unit):
         a[i] = [unit * x for x in a[i]]
@@ -334,20 +327,9 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         if not R.is_zero(u - R.one):
             scale_row(i, u)
 
-    def normalize_col(j):
-        u = R.content_unit([a[i][j] for i in range(nr)])
-        if not R.is_zero(u - R.one):
-            for row in a:
-                row[j] = u * row[j]
-
     def add_row(dst, src, coef):
         a[dst] = [x + coef * y for x, y in zip(a[dst], a[src])]
         normalize_row(dst)
-
-    def add_col(dst, src, coef):
-        for row in a:
-            row[dst] = row[dst] + coef * row[src]
-        normalize_col(dst)
 
     def two_row_op(r1, r2, x, y, z, w):
         # (row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2); caller supplies a
@@ -359,30 +341,19 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         normalize_row(r1)
         normalize_row(r2)
 
-    def two_col_op(c1, c2, x, y, z, w):
-        for row in a:
-            row[c1], row[c2] = x * row[c1] + y * row[c2], z * row[c1] + w * row[c2]
-        normalize_col(c1)
-        normalize_col(c2)
-
-    def clear_entry_by_rows(t, i):
-        """Zero a[i][t] against the pivot a[t][t] with one unimodular step."""
-        p, v = a[t][t], a[i][t]
-        q, r = R.euclid_divmod(v, p)
-        if R.is_zero(r):
-            add_row(i, t, -q)
-            return
-        g, x, y = R.xgcd(p, v)
-        two_row_op(t, i, x, y, -R.exact_div(v, g), R.exact_div(p, g))
-
-    def clear_entry_by_cols(t, j):
-        p, v = a[t][t], a[t][j]
-        q, r = R.euclid_divmod(v, p)
-        if R.is_zero(r):
-            add_col(j, t, -q)
-            return
-        g, x, y = R.xgcd(p, v)
-        two_col_op(t, j, x, y, -R.exact_div(v, g), R.exact_div(p, g))
+    def clear_column(t):
+        """Zero a[i][t] for i > t against the pivot a[t][t], one unimodular
+        step per entry."""
+        for i in range(t + 1, nr):
+            p, v = a[t][t], a[i][t]
+            if R.is_zero(v):
+                continue
+            q, r = R.euclid_divmod(v, p)
+            if R.is_zero(r):
+                add_row(i, t, -q)
+                continue
+            g, x, y = R.xgcd(p, v)
+            two_row_op(t, i, x, y, -R.exact_div(v, g), R.exact_div(p, g))
 
     for i in range(nr):
         normalize_row(i)
@@ -400,25 +371,24 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
+        a[t], a[bi] = a[bi], a[t]
         if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
+            transpose()
+            a[t], a[bj] = a[bj], a[t]
+            transpose()
         while True:
             # Canonical (e.g. monic) pivots keep quotient coefficients tame.
             piv = a[t][t]
             can = R.canonical(piv)
             if not R.is_zero(piv - can):
                 scale_row(t, R.exact_div(can, piv))
-            for i in range(t + 1, nr):
-                if not R.is_zero(a[i][t]):
-                    clear_entry_by_rows(t, i)
-            for j in range(t + 1, nc):
-                if not R.is_zero(a[t][j]):
-                    clear_entry_by_cols(t, j)
-            if any(not R.is_zero(a[i][t]) for i in range(t + 1, nr)):
-                continue  # column ops re-dirtied the pivot column
+            clear_column(t)
+            if any(not R.is_zero(x) for x in a[t][t + 1 : nc]):
+                transpose()
+                clear_column(t)
+                transpose()
+                if any(not R.is_zero(a[i][t]) for i in range(t + 1, nr)):
+                    continue  # clearing the row re-dirtied the pivot column
             # pivot must divide the whole remaining block for the chain
             culprit = None
             for i in range(t + 1, nr):
@@ -445,7 +415,7 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
     return SmithForm(
         divisors,
         left=Matrix(R, [row[nc:] for row in a[:nr]], nr, nr),
-        right=Matrix(R, a[nr:], nc, nc),
+        right=Matrix(R, [row[:nc] for row in a[nr:]], nc, nc),
     )
 
 

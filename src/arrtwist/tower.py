@@ -280,10 +280,10 @@ class _Evaluator:
     on; the empty chain is the character t^w.  Block sizes multiply.
     """
 
-    def __init__(self, tw: TowerSpec, ch: TowerCharacter, ring=None):
+    def __init__(self, tw: TowerSpec, ch: TowerCharacter):
         self.tw = tw
         self.ch = ch
-        self.ring = ring or LaurentRing(QQ)
+        self.ring = LaurentRing(QQ)
         self._rho_cache = {}
         self._word_cache = {}
         self._pieces_cache = {}

@@ -55,6 +55,17 @@ class TestMilnorCommands:
         )
         assert code == 1
 
+    def test_negative_generator_count_is_input_error(self, capsys, tmp_path):
+        pres = write(
+            tmp_path, "neg.json", {"generators": -1, "relators": [], "meridians": True}
+        )
+        for cmd in (("milnor", "spectrum"), ("milnor", "obstruct")):
+            code, out = run(capsys, *cmd, "--presentation", pres)
+            assert code == 1
+            rep = json.loads(out)
+            assert rep["error"] == "ValueError"
+            assert "generator count must be nonnegative" in rep["reason"]
+
     def test_obstruct_without_input_is_input_error(self, capsys):
         code, out = run(capsys, "milnor", "obstruct", "--n", "5")
         assert code == 1
@@ -272,6 +283,23 @@ class TestPiAndChain:
         assert json.loads(out)["isomorphic"] is False
         code, out = run(capsys, "chain", "iso", "--a", a, "--b", a)
         assert json.loads(out)["isomorphic"] is True
+
+    def test_chain_boundary_count_is_input_error(self, capsys, tmp_path):
+        # one rank but one boundary: refused before any rank is indexed
+        bad = write(tmp_path, "c.json", {"ring": "Z", "ranks": [1], "boundaries": [[2]]})
+        code, out = run(capsys, "chain", "iso", "--a", bad, "--b", bad)
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "one boundary map per degree" in rep["reason"]
+
+    def test_chain_negative_rank_is_input_error(self, capsys, tmp_path):
+        bad = write(tmp_path, "c.json", {"ring": "Z", "ranks": [1, -2], "boundaries": [[]]})
+        code, out = run(capsys, "chain", "iso", "--a", bad, "--b", bad)
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "nonnegative" in rep["reason"]
 
     def test_refusal_exit_code(self, capsys, tmp_path):
         arr = write(

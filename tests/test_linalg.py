@@ -140,6 +140,35 @@ class TestSmithNormalForm:
                 assert ring.is_unit(leibniz_det(ring, form.right.rows))
 
 
+def transpose(m):
+    return Matrix(m.ring, [list(c) for c in zip(*m.rows)], m.ncols, m.nrows)
+
+
+class TestTransposeInvariance:
+    def test_transpose_has_the_same_divisors(self, rnd):
+        """The Smith form of m^T has the divisors of m, over every ring.
+
+        Fixed inputs come first: a 1 x 2 row is cleared by column steps
+        alone (gcd(2, 3) = 1), so a reduction that skips them fails here at
+        once instead of looping on the random inputs below."""
+        row = Matrix(ZZ, [[2, 3]])
+        for m in (row, transpose(row)):
+            assert smith_normal_form(m).divisors == (1,)
+            assert smith_normal_form(m, transforms=True).divisors == (1,)
+        L = LaurentRing(QQ)
+        t = L.t()
+        lrow = Matrix(L, [[t**2 - 1, t**3 - 1]])
+        for m in (lrow, transpose(lrow)):
+            assert smith_normal_form(m).divisors == (t - 1,)
+        for ring, gen in ring_samplers(rnd):
+            for _ in range(12):
+                nr, nc = rnd.randint(1, 4), rnd.randint(1, 4)
+                m = Matrix(ring, [[gen() for _ in range(nc)] for _ in range(nr)], nr, nc)
+                want = smith_normal_form(m).divisors
+                assert smith_normal_form(transpose(m)).divisors == want, m
+                assert smith_normal_form(transpose(m), transforms=True).divisors == want
+
+
 class TestDeterminant:
     def test_matches_leibniz(self, rnd):
         for ring, gen in ring_samplers(rnd):
@@ -225,6 +254,58 @@ class TestMatrixInverse:
         z = K.zeta()
         b = Matrix(K, [[z, 1], [1, z]])
         assert b * b.inverse() == Matrix.identity(K, 2)
+
+    def test_seeded_invertible_over_every_ring(self, rnd):
+        """m * m^-1 == m^-1 * m == I over Q, F_7 and Q(zeta_5) (random
+        nonsingular matrices), and over Z and Q[t,t^-1] (products of
+        elementary matrices, each row then scaled by a unit)."""
+        L = LaurentRing(QQ)
+
+        def unimodular(ring, n, entry, unit):
+            m = Matrix.identity(ring, n)
+            for _ in range(3 * n if n > 1 else 0):
+                i, j = rnd.sample(range(n), 2)
+                e = Matrix.identity(ring, n)
+                e.rows[i][j] = entry()
+                m = m * e
+            rows = []
+            for row in m.rows:
+                u = unit()
+                rows.append([u * x for x in row])
+            return Matrix(ring, rows, n, n)
+
+        cases = []
+        for ring, gen in ring_samplers(rnd):
+            if ring.is_field:
+                for n in range(1, 5):
+                    m = Matrix.zero(ring, n, n)
+                    while ring.is_zero(m.det()):
+                        m = Matrix(ring, [[gen() for _ in range(n)] for _ in range(n)], n, n)
+                    cases.append(m)
+        for n in range(1, 5):
+            cases.append(unimodular(
+                ZZ, n, lambda: rnd.randint(-2, 2), lambda: rnd.choice([1, -1])))
+            cases.append(unimodular(
+                L, n, lambda: rnd.randint(-2, 2) * L.t(rnd.randint(-1, 1)),
+                lambda: rnd.choice([1, -2]) * L.t(rnd.randint(-2, 2))))
+        assert {m.ring.name for m in cases} == {"Z", "Q", "F7", "cyclotomic:5", "laurent"}
+        for m in cases:
+            eye = Matrix.identity(m.ring, m.nrows)
+            inv = m.inverse()
+            assert m * inv == eye, m
+            assert inv * m == eye, m
+
+    def test_singular_over_a_field(self):
+        K = CyclotomicField(5)
+        z = K.zeta()
+        for m in (
+            Matrix(QQ, [[1, 2], [2, 4]]),
+            Matrix(PrimeField(7), [[1, 3], [2, 6]]),
+            Matrix(K, [[z, z * z], [1, z]]),
+            Matrix.zero(QQ, 3, 3),
+        ):
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
 
     def test_not_invertible_over_ring(self):
         L = LaurentRing(QQ)

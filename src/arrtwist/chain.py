@@ -50,13 +50,24 @@ class Homology:
         }
 
 
+def _as_count(x, what):
+    """``x`` as an int, refusing a value that ``int`` would truncate (1.9)."""
+    n = int(x)
+    if n != x and not isinstance(x, str):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return n
+
+
 def _check_ranks(ranks, nbounds):
-    """Refuse negative ranks and a boundary count other than one per degree
-    1..top, before any boundary is read."""
+    """The ranks as ints.  Refuses non-integral and negative ranks and a
+    boundary count other than one per degree 1..top, before any boundary
+    is read."""
+    ranks = tuple(_as_count(r, "a rank") for r in ranks)
     if any(r < 0 for r in ranks):
         raise ValueError(f"ranks must be nonnegative, got {list(ranks)}")
     if nbounds != max(len(ranks) - 1, 0):
         raise ValueError("need one boundary map per degree 1..top")
+    return ranks
 
 
 class FreeChainComplex:
@@ -75,9 +86,8 @@ class FreeChainComplex:
 
     def __init__(self, ring: Ring, ranks, boundaries):
         self.ring = ring
-        self.ranks = tuple(int(r) for r in ranks)
         self.boundaries = list(boundaries)
-        _check_ranks(self.ranks, len(self.boundaries))
+        self.ranks = _check_ranks(ranks, len(self.boundaries))
         for q, d in enumerate(self.boundaries, start=1):
             if (d.nrows, d.ncols) != (self.ranks[q - 1], self.ranks[q]):
                 raise ValueError(
@@ -180,8 +190,7 @@ class FreeChainComplex:
     def from_json(cls, text) -> "FreeChainComplex":
         data = json.loads(text) if isinstance(text, str) else text
         ring = ring_from_string(data["ring"])
-        ranks = [int(r) for r in data["ranks"]]
-        _check_ranks(ranks, len(data["boundaries"]))
+        ranks = _check_ranks(data["ranks"], len(data["boundaries"]))
         bnds = []
         for q, flat in enumerate(data["boundaries"], start=1):
             nr, nc = ranks[q - 1], ranks[q]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .chain import FreeChainComplex
+from .chain import FreeChainComplex, _as_count
 from .linalg import Matrix
 
 
@@ -256,7 +256,7 @@ class GroupPresentation:
     __slots__ = ("n", "relators", "meridian_marked", "names")
 
     def __init__(self, n, relators=(), meridian_marked=False, names=None):
-        self.n = int(n)
+        self.n = _as_count(n, "the generator count")
         if self.n < 0:
             raise ValueError(f"generator count must be nonnegative, got {self.n}")
         self.relators = [

@@ -40,14 +40,15 @@ def colex_subsets(n, q):
 class UnitAssignment:
     """Invertible scalars (or commuting invertible matrices) assigned to the
     n generators, acting on a coefficient module whose rank is the size of
-    the matrix units (1 when the first unit is a scalar)."""
+    the matrix units (1 when every unit is a scalar).  A scalar unit u among
+    matrix units acts as u times the identity."""
 
     def __init__(self, ring: Ring, units):
         self.ring = ring
         self.units = list(units)
         self.n = len(self.units)
-        first = self.units[0] if self.units else None
-        self.module_rank = module_rank = first.nrows if isinstance(first, Matrix) else 1
+        first = next((u for u in self.units if isinstance(u, Matrix)), None)
+        self.module_rank = module_rank = first.nrows if first is not None else 1
         self._slot = []  # (u^-1 - 1) per generator, as a module_rank x module_rank block
         for u in self.units:
             if isinstance(u, Matrix):

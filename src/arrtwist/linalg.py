@@ -7,19 +7,22 @@ loop.  Chain complexes use :func:`rank` over fields and otherwise read ranks
 from the Smith form, which is far cheaper on Laurent boundaries (see
 :mod:`arrtwist.chain`).  Smith normal forms use the classical
 elementary-operation algorithm over a Euclidean ring with smallest-size
-pivoting; divisors are reported as canonical associates
-(positive over Z, valuation-0 monic over K[t,t^-1]).  Each elementary step
-is written once, as a row step: column steps are row steps on the
-transposed working array.  The optional left and right transforms are
-carried as identity blocks beside and below the matrix, so the same steps
-update them without extra code.  :meth:`Matrix.inverse` reads the inverse
-off the transforms over every ring.  Kernel bases come from the right
-transform, which over a PID yields a basis of the kernel of the map of free
-modules (automatically saturated).
+pivoting, then fix the divisor chain once on the diagonal; divisors are
+reported as canonical associates (positive over Z, valuation-0 monic over
+K[t,t^-1]).  Each elementary step is written once, as a row step: column
+steps are row steps on the transposed working array.  The optional left
+and right transforms are carried as identity blocks beside and below the
+matrix, so the same steps update them without extra code.
+:meth:`Matrix.inverse` reads the inverse off the transforms over every
+ring.  Kernel bases come from the right transform, which over a PID yields
+a basis of the kernel of the map of free modules (automatically saturated).
 
 Matrices are immutable-by-convention dense row-major arrays, except that
-:meth:`Matrix.paste` writes blocks into one still being assembled;
-everything is desk scale, so no sparsity.
+:meth:`Matrix.paste` writes blocks into one still being assembled.  The
+storage is dense but the arithmetic is not: products, sums, negation,
+scaling and every Smith row step do ring arithmetic on nonzero entries
+only, and results built here skip the coercing public constructor
+(:meth:`Matrix._of`).
 """
 
 from __future__ import annotations
@@ -54,14 +57,23 @@ class Matrix:
         self.rows = [[ring.coerce(x) for x in r] for r in rows]
 
     @classmethod
+    def _of(cls, ring, rows, nrows, ncols):
+        """A matrix on ``rows`` as given: entries already of ``ring``, shape
+        already checked.  Every result built inside this module goes
+        through here; the public constructor coerces and validates."""
+        m = object.__new__(cls)
+        m.ring, m.rows, m.nrows, m.ncols = ring, rows, nrows, ncols
+        return m
+
+    @classmethod
     def zero(cls, ring, nrows, ncols):
         z = ring.zero
-        return cls(ring, [[z] * ncols for _ in range(nrows)], nrows, ncols)
+        return cls._of(ring, [[z] * ncols for _ in range(nrows)], nrows, ncols)
 
     @classmethod
     def identity(cls, ring, n):
         z, o = ring.zero, ring.one
-        return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of(ring, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -77,7 +89,7 @@ class Matrix:
             raise ValueError("block does not fit at this offset")
         for i, row in enumerate(block.rows):
             self.rows[row0 + i][col0 : col0 + block.ncols] = (
-                [-x for x in row] if negate else row
+                [-x if x else x for x in row] if negate else row
             )
 
     def is_zero(self):
@@ -97,13 +109,16 @@ class Matrix:
             )
         )
 
+    # Entrywise operations leave a zero operand's partner as it is, so they
+    # do ring arithmetic on nonzero entries only.
+
     def __add__(self, other):
         self._check_compat(other, same_shape=True)
-        return Matrix(
+        return Matrix._of(
             self.ring,
             [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
+                [(x + y if x else y) if y else x for x, y in zip(r, s)]
+                for r, s in zip(self.rows, other.rows)
             ],
             self.nrows,
             self.ncols,
@@ -113,9 +128,9 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(
+        return Matrix._of(
             self.ring,
-            [[-x for x in r] for r in self.rows],
+            [[-x if x else x for x in r] for r in self.rows],
             self.nrows,
             self.ncols,
         )
@@ -123,9 +138,9 @@ class Matrix:
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             s = self.ring.coerce(other)
-            return Matrix(
+            return Matrix._of(
                 self.ring,
-                [[x * s for x in r] for r in self.rows],
+                [[x * s if x else x for x in r] for r in self.rows],
                 self.nrows,
                 self.ncols,
             )
@@ -144,7 +159,7 @@ class Matrix:
                     if b:
                         acc[j] = acc[j] + a * b
             out.append(acc)
-        return Matrix(self.ring, out, self.nrows, other.ncols)
+        return Matrix._of(self.ring, out, self.nrows, other.ncols)
 
     # every ring here is commutative, so a scalar may stand on either side
     __rmul__ = __mul__
@@ -156,7 +171,7 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(
+        return Matrix._of(
             self.ring,
             [[self.rows[i][j] for j in col_idx] for i in row_idx],
             len(row_idx),
@@ -287,15 +302,21 @@ class SmithForm:
 def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
     """Smith normal form over Z, a field, or K[t,t^-1].
 
-    The classical algorithm: move a smallest nonzero entry to the pivot,
-    clear its row and column by division with remainder, absorb any entry
-    the pivot fails to divide, and recurse on the rest.  The result is the
-    divisor chain; with ``transforms=True``, invertible ``left`` and
-    ``right`` with ``left * m * right`` diagonal are returned as well.
+    The classical algorithm in two phases.  First diagonalize: move a
+    smallest nonzero entry to the pivot, clear its column and row by division
+    with remainder, and recurse on the rest.  Then fix the divisor chain on
+    the diagonal: wherever d_i fails to divide d_j (i < j), adding row j to
+    row i and clearing that pivot again turns (d_i, d_j) into
+    (gcd, lcm).  Walking the pairs in order leaves d_1 | d_2 | ... | d_s,
+    with one divisibility test per pair instead of a scan of the remaining
+    block at every pivot.  The result is the divisor chain; with
+    ``transforms=True``, invertible ``left`` and ``right`` with
+    ``left * m * right`` diagonal are returned as well.
 
-    Every elementary step is a row step.  A column step on ``m`` is the same
-    row step on its transpose, whose Smith form is the transpose of that of
-    ``m``; so the pivot row is cleared by transposing the working array,
+    Every elementary step is a row step, and does ring arithmetic on the
+    nonzero entries of its source rows only.  A column step on ``m`` is the
+    same row step on its transpose, whose Smith form is the transpose of that
+    of ``m``; so the pivot row is cleared by transposing the working array,
     clearing the pivot column, and transposing back (skipped when the row is
     already clear).  The transforms ride along in the working array:
     ``left`` starts as an identity block to the right of the rows, ``right``
@@ -306,6 +327,7 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
     only the top-left ``nr x nc`` block of the current orientation.
     """
     R = m.ring
+    one = R.one
     nr, nc = m.nrows, m.ncols
     a = [r[:] for r in m.rows]
     if transforms:
@@ -320,24 +342,25 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         nr, nc = nc, nr
 
     def scale_row(i, unit):
-        a[i] = [unit * x for x in a[i]]
+        a[i] = [unit * x if x else x for x in a[i]]
 
     def normalize_row(i):
         u = R.content_unit(a[i][:nc])
-        if not R.is_zero(u - R.one):
+        if u != one:
             scale_row(i, u)
 
     def add_row(dst, src, coef):
-        a[dst] = [x + coef * y for x, y in zip(a[dst], a[src])]
+        a[dst] = [x + coef * y if y else x for x, y in zip(a[dst], a[src])]
         normalize_row(dst)
 
     def two_row_op(r1, r2, x, y, z, w):
         # (row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2); caller supplies a
         # unimodular 2x2, so the transform stays invertible.
-        a[r1], a[r2] = (
-            [x * p + y * q for p, q in zip(a[r1], a[r2])],
-            [z * p + w * q for p, q in zip(a[r1], a[r2])],
-        )
+        u, v = a[r1], a[r2]
+        a[r1] = [(x * p + y * q if q else x * p) if p else (y * q if q else p)
+                 for p, q in zip(u, v)]
+        a[r2] = [(z * p + w * q if q else z * p) if p else (w * q if q else p)
+                 for p, q in zip(u, v)]
         normalize_row(r1)
         normalize_row(r2)
 
@@ -354,6 +377,23 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
                 continue
             g, x, y = R.xgcd(p, v)
             two_row_op(t, i, x, y, -R.exact_div(v, g), R.exact_div(p, g))
+
+    def reduce_pivot(t):
+        """Clear column t and row t against a[t][t], until both stay clear."""
+        while True:
+            # Canonical (e.g. monic) pivots keep quotient coefficients tame.
+            piv = a[t][t]
+            can = R.canonical(piv)
+            if can != piv:
+                scale_row(t, R.exact_div(can, piv))
+            clear_column(t)
+            if not any(a[t][t + 1 : nc]):
+                return
+            transpose()
+            clear_column(t)
+            transpose()
+            if not any(a[i][t] for i in range(t + 1, nr)):
+                return  # else clearing the row re-dirtied the pivot column
 
     for i in range(nr):
         normalize_row(i)
@@ -376,35 +416,18 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
             transpose()
             a[t], a[bj] = a[bj], a[t]
             transpose()
-        while True:
-            # Canonical (e.g. monic) pivots keep quotient coefficients tame.
-            piv = a[t][t]
-            can = R.canonical(piv)
-            if not R.is_zero(piv - can):
-                scale_row(t, R.exact_div(can, piv))
-            clear_column(t)
-            if any(not R.is_zero(x) for x in a[t][t + 1 : nc]):
-                transpose()
-                clear_column(t)
-                transpose()
-                if any(not R.is_zero(a[i][t]) for i in range(t + 1, nr)):
-                    continue  # clearing the row re-dirtied the pivot column
-            # pivot must divide the whole remaining block for the chain
-            culprit = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if R.is_zero(a[i][j]):
-                        continue
-                    _, r = R.euclid_divmod(a[i][j], a[t][t])
-                    if not R.is_zero(r):
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            add_row(t, culprit, R.one)
+        reduce_pivot(t)
         t += 1
+
+    # the divisor chain: after pass i, d_i divides every later d_j, and the
+    # (gcd, lcm) steps of later passes keep that true
+    for i in range(t):
+        if R.is_unit(a[i][i]):
+            continue
+        for j in range(i + 1, t):
+            if not R.is_zero(R.euclid_divmod(a[j][j], a[i][i])[1]):
+                add_row(i, j, one)
+                reduce_pivot(i)
 
     divisors = [R.canonical(a[k][k]) for k in range(t)]
     if not transforms:
@@ -414,8 +437,8 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         scale_row(k, R.exact_div(divisors[k], a[k][k]))
     return SmithForm(
         divisors,
-        left=Matrix(R, [row[nc:] for row in a[:nr]], nr, nr),
-        right=Matrix(R, [row[:nc] for row in a[nr:]], nc, nc),
+        left=Matrix._of(R, [row[nc:] for row in a[:nr]], nr, nr),
+        right=Matrix._of(R, [row[:nc] for row in a[nr:]], nc, nc),
     )
 
 

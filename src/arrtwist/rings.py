@@ -284,15 +284,26 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse through the norm.
+        """A monomial ``c * zeta^k`` (a single nonzero coefficient, as for
+        every root of unity ``zeta^k`` with ``k < phi(d)``) has inverse
+        ``c^-1 * zeta^(d - k)``; any other element is inverted through the
+        norm (:meth:`_norm_inverse`)."""
+        support = [k for k, c in enumerate(self.coeffs) if c]
+        if not support:
+            raise ZeroDivisionError(f"0 has no inverse in Q(zeta_{self.d})")
+        if len(support) > 1:
+            return self._norm_inverse()
+        (k,) = support
+        return CyclotomicElement(self.d, [0] * (-k % self.d) + [1 / Fraction(self.coeffs[k])])
+
+    def _norm_inverse(self):
+        """Inverse of a nonzero element through the norm.
 
         Write ``self = A / den`` with ``A`` integral, and let ``B`` be the
         product of the Galois conjugates ``sigma_k(A)`` (``zeta -> zeta^k``)
         over ``1 < k < d`` prime to ``d``.  Then ``N = A * B`` is the norm
         of ``A``, a nonzero integer, and ``self^-1 = den * B / N``; every
         step before the last division runs on ints."""
-        if not any(self.coeffs):
-            raise ZeroDivisionError(f"0 has no inverse in Q(zeta_{self.d})")
         d = self.d
         den = lcm(*(c.denominator for c in self.coeffs))
         A = CyclotomicElement(d, [c * den for c in self.coeffs])

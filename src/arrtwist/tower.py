@@ -313,10 +313,14 @@ class _Evaluator:
                 w = images[c]
                 for r in range(d):
                     gre = fox_derivative(w, r).bar()  # iota(d alpha(x_c) / d x_r)
-                    val = Matrix.zero(self.ring, s, s)
+                    val = None
                     for word, coeff in gre.terms.items():
-                        val = val + coeff * self.rho_level_word(word, J, rest)
-                    out.paste(r * s, c * s, val * gen_rest)
+                        term = self.rho_level_word(word, J, rest)
+                        if coeff != 1:
+                            term = coeff * term
+                        val = term if val is None else val + term
+                    if val is not None:  # a zero derivative leaves a zero block
+                        out.paste(r * s, c * s, val * gen_rest)
         self._rho_cache[key] = out
         return out
 
@@ -340,8 +344,11 @@ class _Evaluator:
 
     def rho_word(self, letters, chain) -> Matrix:
         """rho of a mixed-level word given as ((level, idx), sign) pairs."""
-        out = Matrix.identity(self.ring, self.size(chain))
-        for gen, sign in letters:
+        if not letters:
+            return Matrix.identity(self.ring, self.size(chain))
+        (gen, sign), *rest = letters
+        out = self.rho_letter(gen, sign, chain)
+        for gen, sign in rest:
             out = out * self.rho_letter(gen, sign, chain)
         return out
 

@@ -66,6 +66,17 @@ class TestMilnorCommands:
             assert rep["error"] == "ValueError"
             assert "generator count must be nonnegative" in rep["reason"]
 
+    def test_fractional_generator_count_is_input_error(self, capsys, tmp_path):
+        # int() would read 2.7 as 2 and report the spectrum of 2 generators
+        pres = write(
+            tmp_path, "frac.json", {"generators": 2.7, "relators": [], "meridians": True}
+        )
+        code, out = run(capsys, "milnor", "spectrum", "--presentation", pres)
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "must be an integer" in rep["reason"] and "2.7" in rep["reason"]
+
     def test_obstruct_without_input_is_input_error(self, capsys):
         code, out = run(capsys, "milnor", "obstruct", "--n", "5")
         assert code == 1
@@ -300,6 +311,15 @@ class TestPiAndChain:
         rep = json.loads(out)
         assert rep["error"] == "ValueError"
         assert "nonnegative" in rep["reason"]
+
+    def test_chain_fractional_rank_is_input_error(self, capsys, tmp_path):
+        # int() would read 1.9 as 1 and report on a rank-1 complex
+        bad = write(tmp_path, "c.json", {"ring": "Z", "ranks": [1.9, 1], "boundaries": [["2"]]})
+        code, out = run(capsys, "chain", "iso", "--a", bad, "--b", bad)
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "must be an integer" in rep["reason"] and "1.9" in rep["reason"]
 
     def test_refusal_exit_code(self, capsys, tmp_path):
         arr = write(

@@ -72,6 +72,17 @@ class TestBuild:
         c = build_koszul(ua)
         assert list(c.ranks) == [2 * comb(2, q) for q in range(3)]
 
+    def test_scalar_and_matrix_units_in_either_order(self):
+        """The module rank comes from the matrix unit wherever it stands, so
+        [M, 3] and [3, M] are both accepted and give the same slot blocks."""
+        m = Matrix(QQ, [[1, 1], [0, 1]])
+        first, last = UnitAssignment(QQ, [m, 3]), UnitAssignment(QQ, [3, m])
+        assert first.module_rank == last.module_rank == 2
+        assert first.slot_block(0) == last.slot_block(1) == m.inverse() - Matrix.identity(QQ, 2)
+        third = Fraction(1, 3)
+        assert first.slot_block(1) == last.slot_block(0) == Matrix(QQ, [[third - 1, 0], [0, third - 1]])
+        assert build_koszul(first).ranks == build_koszul(last).ranks == (2, 4, 2)
+
     def test_noncommuting_matrix_units_rejected(self):
         m1 = Matrix(QQ, [[0, 1], [1, 0]])
         m2 = Matrix(QQ, [[1, 1], [0, 1]])

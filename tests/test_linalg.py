@@ -140,6 +140,87 @@ class TestSmithNormalForm:
                 assert ring.is_unit(leibniz_det(ring, form.right.rows))
 
 
+def diagonal(ring, entries, nr=None, nc=None):
+    nr = len(entries) if nr is None else nr
+    nc = len(entries) if nc is None else nc
+    return Matrix(ring, [[entries[i] if i == j and i < len(entries) else ring.zero
+                          for j in range(nc)] for i in range(nr)], nr, nc)
+
+
+class TestDivisorChain:
+    """Diagonalization leaves the pivots in any order of divisibility; the
+    chain pass turns each failing pair (d_i, d_j) into (gcd, lcm)."""
+
+    def cases(self):
+        L = LaurentRing(QQ)
+        t = L.t()
+        return (
+            (ZZ, [6, 4, 9], (1, 6, 36)),
+            (L, [t**2 - 1, t - 1, t + 1], (L.one, t**2 - 1, t**2 - 1)),
+        )
+
+    def test_permuted_diagonals(self):
+        for ring, entries, want in self.cases():
+            m = diagonal(ring, entries)
+            for rows in permutations(range(3)):
+                for cols in permutations(range(3)):
+                    p = m.submatrix(rows, cols)
+                    for transforms in (False, True):
+                        form = smith_normal_form(p, transforms=transforms)
+                        assert form.divisors == want, (p, transforms)
+                        prod = ring.one
+                        for k, d in enumerate(form.divisors, start=1):
+                            prod = prod * d
+                            assert ring.canonical(prod) == minor_gcd(ring, p, k)
+                        if transforms:
+                            assert form.left * p * form.right == diagonal(ring, want)
+
+    def test_chain_pass_on_a_rectangular_block(self):
+        # a zero row and column around the diagonal do not disturb the chain
+        for ring, entries, want in self.cases():
+            m = diagonal(ring, entries, 4, 5)
+            form = smith_normal_form(m, transforms=True)
+            assert form.divisors == want
+            assert form.left * m * form.right == diagonal(ring, want, 4, 5)
+
+    @staticmethod
+    def count_divmods(monkeypatch, m, transforms=False):
+        calls = []
+        cls = type(m.ring)
+        divmod_ = cls.euclid_divmod
+
+        def counting(self, a, b):
+            calls.append(1)
+            return divmod_(self, a, b)
+
+        monkeypatch.setattr(cls, "euclid_divmod", counting)
+        form = smith_normal_form(m, transforms=transforms)
+        monkeypatch.setattr(cls, "euclid_divmod", divmod_)
+        return form, len(calls)
+
+    def test_one_test_per_diagonal_pair(self, monkeypatch):
+        """A 12 x 12 diagonal already in chain order with canonical entries
+        needs no elimination, only the chain pass: at most one divisibility
+        test per pair, 66 in all."""
+        entries = [6 * 2**k for k in range(12)]
+        form, calls = self.count_divmods(monkeypatch, diagonal(ZZ, entries))
+        assert form.divisors == tuple(entries)
+        assert calls <= 66, calls
+
+    def test_unit_pivot_scans_nothing(self, monkeypatch, rnd):
+        """A unit pivot in front of a block costs no division: the Smith
+        form of diag(1, B) makes exactly the divisions of B's own."""
+        for _ in range(5):
+            n = 5
+            rows = [[rnd.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            b = Matrix(ZZ, rows)
+            padded = Matrix(ZZ, [[1] + [0] * n] + [[0] + r for r in rows])
+            form_b, calls_b = self.count_divmods(monkeypatch, b)
+            form_p, calls_p = self.count_divmods(monkeypatch, padded)
+            assert form_p.divisors == (1,) + form_b.divisors
+            assert calls_p == calls_b, (rows, calls_p, calls_b)
+
+
 def transpose(m):
     return Matrix(m.ring, [list(c) for c in zip(*m.rows)], m.ncols, m.nrows)
 

@@ -570,6 +570,34 @@ class TestCyclotomicAgainstReference:
         assert product == (-1,) + (0,) * (d - 1) + (1,)
         assert all(type(c) is int for c in product)
 
+    @pytest.mark.parametrize("d", (5, 7, 8, 12))
+    def test_monomial_inverse_matches_the_norm_route(self, d, monkeypatch):
+        """c * zeta^k for every k < d: the inverse equals the norm route's.
+        A single nonzero coefficient (k < phi(d)) is inverted with no
+        cyclotomic product at all."""
+        K = CyclotomicField(d)
+        phi = K.degree
+        calls = []
+        mul = CyclotomicElement.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        for k in range(d):
+            for c in (1, -1, 3, Fraction(-2, 5)):
+                x = K.zeta(k) * c
+                want = x._norm_inverse()
+                calls.clear()
+                monkeypatch.setattr(CyclotomicElement, "__mul__", counting_mul)
+                got = x.inverse()
+                monkeypatch.setattr(CyclotomicElement, "__mul__", mul)
+                assert got == want and got.coeffs == want.coeffs, (d, k, c)
+                assert_cyclo_int_invariant(got)
+                if k < phi:
+                    assert not calls, (d, k, c)
+                assert x * got == 1
+
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
             CyclotomicField(5).zero.inverse()

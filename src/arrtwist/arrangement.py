@@ -8,6 +8,10 @@ flats are closed index sets, a flat's subspace lies inside H_0 exactly when
 its index set contains 0, and the projectively visible flats are those of
 codimension < r.
 
+`central_flats` is the one source of matroid data: girth, essentiality,
+dense edges and Betti numbers are read off the flats and their Moebius
+values; `closure` and `_rank_of` rank index sets as the reference route.
+
 Betti numbers of the projective complement follow the decone convention:
 Whitney sums of Moebius values over the central flats whose subspace is not
 contained in H_0, which gives b_0 = 1 and b_1 = n.
@@ -17,9 +21,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, inf, lcm
 
+from .chain import _as_count
 from .linalg import Matrix, rank
 from .rings import ZZ
 
@@ -68,7 +72,7 @@ class Character:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(_as_count(w, "a weight") for w in weights)
         if sum(self.weights) != 0:
             raise InvalidCharacter(
                 f"weights must sum to 0, got {sum(self.weights)}"
@@ -83,7 +87,7 @@ class Character:
     @classmethod
     def from_tail(cls, tail):
         """Weights gamma_1..gamma_n with gamma_0 := -sum chosen for H_0."""
-        tail = [int(w) for w in tail]
+        tail = [_as_count(w, "a weight") for w in tail]
         return cls([-sum(tail)] + tail)
 
     def __repr__(self):
@@ -121,7 +125,7 @@ class Arrangement:
     """
 
     def __init__(self, r, forms, labels=None):
-        self.r = int(r)
+        self.r = _as_count(r, "r")
         self._rank_cache = {}
         self._flats = None
         self.forms = []
@@ -132,8 +136,8 @@ class Arrangement:
             if not any(vec):
                 raise ValueError("zero covector is not a hyperplane")
             self.forms.append(vec)
-        # Ranks are taken over Z: scaling a form by a nonzero rational
-        # changes no rank, and integer Bareiss avoids Fraction arithmetic.
+        # The lattice works over Z: scaling a form by a nonzero rational
+        # changes no flat, and integer vectors avoid Fraction arithmetic.
         self._int_forms = []
         for vec in self.forms:
             scale = lcm(*(x.denominator for x in vec))
@@ -168,7 +172,7 @@ class Arrangement:
         return cache[key]
 
     def is_essential(self):
-        return self._rank_of(range(len(self.forms))) == self.r
+        return self.central_flats()[frozenset(range(len(self.forms)))] == self.r
 
     def _require_essential(self):
         if not self.is_essential():
@@ -236,46 +240,25 @@ class Arrangement:
 
     def girth(self):
         """Minimum size of a dependent subset of the cone's forms; inf if
-        the forms are independent.  Always >= 3 when finite."""
-        m = len(self.forms)
-        for k in range(3, min(m, self.r + 1) + 1):
-            for sub in combinations(range(m), k):
-                if self._rank_of(sub) < k:
-                    return k
-        return inf
-
-    def _localization_connected(self, flat):
-        """Whether the matroid of {forms[i] : i in flat} (nonempty) is
-        connected.  Fundamental-graph test: with a greedy basis B of the
-        flat, join b in B to e outside B when B - b + e is again a basis;
-        the matroid is connected exactly when this graph is.  That costs
-        about |flat| * rank rank calls, not one pair per bipartition."""
-        ground = sorted(flat)
-        basis = []
-        for i in ground:
-            if self._rank_of(basis + [i]) > len(basis):
-                basis.append(i)
-        joined = {i: set() for i in ground}
-        for e in set(ground) - set(basis):
-            for b in basis:
-                if self._rank_of(set(basis) - {b} | {e}) == len(basis):
-                    joined[b].add(e)
-                    joined[e].add(b)
-        seen, todo = {ground[0]}, [ground[0]]
-        while todo:
-            new = joined[todo.pop()] - seen
-            seen |= new
-            todo.extend(new)
-        return len(seen) == len(ground)
+        the forms are independent.  Always >= 3 when finite.  A flat of
+        codim c with more than c forms holds a dependent (c+1)-set, and the
+        closure of a circuit is such a flat."""
+        return min(
+            (c + 1 for s, c in self.central_flats().items() if len(s) > c),
+            default=inf,
+        )
 
     def dense_edges(self):
         """Flats of the cone whose localization is irreducible (connected
-        matroid); every singleton qualifies."""
+        matroid); every singleton qualifies.  These are the flats F whose
+        Crapo beta invariant, up to sign the sum of mu(0, G) * codim G over
+        the flats G <= F, is nonzero."""
+        flats, mu = self.central_flats(), self.moebius()
         return sorted(
             (
                 Flat(s, c)
-                for s, c in self.central_flats().items()
-                if s and self._localization_connected(s)
+                for s, c in flats.items()
+                if s and sum(mu[g] * flats[g] for g in flats if g <= s)
             ),
             key=lambda f: (f.codim, sorted(f.indices)),
         )
@@ -327,8 +310,8 @@ class Arrangement:
 
     def generic_position_profile(self):
         """(p, is_generic_position): p = c - 2 when the girth c exceeds 3
-        (inf for independent forms); generic position means c = r + 1 with
-        more than r+1 hyperplanes... exactly: c = r+1 and n+1 > r."""
+        (inf for independent forms); generic position means c = r + 1 and
+        more than r hyperplanes (n + 1 > r)."""
         self._require_essential()
         c = self.girth()
         if c == 3:

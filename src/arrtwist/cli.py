@@ -86,9 +86,13 @@ def _weights(text):
 
 
 def _character(arr, text):
+    """The n+1 weights, or gamma_1..gamma_n with gamma_0 fixed by the zero
+    sum: the one weight-count check of every arrangement command."""
     w = _weights(text)
-    if len(w) == arr.n:  # tail given: gamma_0 determined by the zero sum
+    if len(w) == arr.n:
         return Character.from_tail(w)
+    if len(w) != arr.n + 1:
+        raise InvalidCharacter(f"need {arr.n} or {arr.n + 1} weights, got {len(w)}")
     return Character(w)
 
 

@@ -32,7 +32,7 @@ import json
 from itertools import combinations
 from math import comb, prod
 
-from .chain import FreeChainComplex
+from .chain import FreeChainComplex, _as_count
 from .fox import FreeWord, fox_derivative
 from .koszul import (
     Disagreement,
@@ -62,7 +62,7 @@ class TowerSpec:
     """
 
     def __init__(self, exponents, monodromy=None, names=None):
-        self.exponents = [int(d) for d in exponents]  # d_2 .. d_l, by level
+        self.exponents = [_as_count(d, "an exponent") for d in exponents]  # d_2..d_l
         if any(d < 1 for d in self.exponents):
             raise TowerInvalid("free ranks must be positive")
         self.names = {}
@@ -156,7 +156,7 @@ class TowerSpec:
         outward, i.e. [d_l, ..., d_2], matching the semidirect product
         notation; monodromy keyed by level and lower-generator name."""
         data = json.loads(text) if isinstance(text, str) else text
-        exps = [int(d) for d in data["exponents"]][::-1]  # to d_2..d_l
+        exps = list(data["exponents"])[::-1]  # to d_2..d_l; checked by cls
         nlevels = len(exps)
         names = {}
         for j in range(2, nlevels + 2):
@@ -198,8 +198,8 @@ class TowerCharacter:
     """An integer weight for every generator of every level."""
 
     def __init__(self, weights):
-        # weights: {(level, idx): int}
-        self.weights = {k: int(v) for k, v in weights.items()}
+        # weights: {(level, idx): int}; from_lists and from_names end here
+        self.weights = {k: _as_count(v, "a weight") for k, v in weights.items()}
 
     @classmethod
     def from_lists(cls, tw: TowerSpec, per_level):
@@ -208,7 +208,7 @@ class TowerCharacter:
             if len(vals) != tw.d(j):
                 raise ValueError(f"level {j} needs {tw.d(j)} weights")
             for a, v in enumerate(vals):
-                w[(j, a)] = int(v)
+                w[(j, a)] = v
         return cls(w)
 
     @classmethod
@@ -217,7 +217,7 @@ class TowerCharacter:
         for nm, v in named.items():
             if nm not in tw.index:
                 raise ValueError(f"unknown generator {nm!r}")
-            w[tw.index[nm]] = int(v)
+            w[tw.index[nm]] = v
         return cls(w)
 
     def of(self, gen):

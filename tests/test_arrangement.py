@@ -4,6 +4,7 @@ from math import comb, inf
 
 import pytest
 
+from arrtwist import arrangement
 from arrtwist.arrangement import (
     Arrangement,
     Character,
@@ -133,11 +134,12 @@ class TestLocalizationConnected:
             for _ in range(12)
         ]
         for arr in arrangements:
+            dense = {f.indices for f in arr.dense_edges()}
             for flat in arr.central_flats():
                 # the 15-form center of A_5 alone would cost 2^14 bipartitions;
                 # test_braid_dense_edges covers it by the closed form
                 if 1 < len(flat) <= 10:
-                    assert arr._localization_connected(flat) == bipartition_connected(arr, flat), (
+                    assert (flat in dense) == bipartition_connected(arr, flat), (
                         arr.forms, sorted(flat))
 
     def test_braid_dense_edges(self):
@@ -168,6 +170,15 @@ class TestNonresonance:
     def test_character_must_sum_to_zero(self):
         with pytest.raises(InvalidCharacter):
             Character([1, 1, 1])
+
+    def test_non_integral_weights_refused(self):
+        # int() would read [1.5, -1.5] as the character (1, -1)
+        for bad in ([1.5, -1.5], [Fraction(1, 2), Fraction(-1, 2)]):
+            with pytest.raises(ValueError, match="must be an integer"):
+                Character(bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            Character.from_tail([0.5, 1])
+        assert Character([-2, 1.0, 1]).weights == (-2, 1, 1)
 
     def test_nonresonant_characters_exist(self):
         # small search succeeds for every fixture
@@ -322,3 +333,58 @@ class TestLatticeAgainstClosureSearch:
             with pytest.raises(ValueError) as err:
                 Arrangement(r, forms)
             assert str(err.value) == f"hyperplanes {pairs[0][0]} and {pairs[0][1]} coincide"
+
+
+def subset_girth(arr):
+    """The least size of a dependent subset, by ranking every subset."""
+    m = len(arr.forms)
+    for k in range(1, m + 1):
+        if any(arr._rank_of(sub) < k for sub in combinations(range(m), k)):
+            return k
+    return inf
+
+
+class TestReadOffTheLattice:
+    def test_girth_and_essential_match_subset_search(self, rnd):
+        arrangements = [
+            Arrangement.generic(3, 4),  # girth 4
+            Arrangement.generic(4, 6),  # girth 5
+            Arrangement.boolean(4),  # independent: inf
+            Arrangement(3, NEAR_PENCIL),  # girth 3
+            Arrangement(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]),  # not essential
+            Arrangement(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),  # independent, not essential
+        ]
+        while len(arrangements) < 206:
+            r = rnd.randint(2, 5)
+            forms = [[rnd.randint(-2, 2) for _ in range(r)] for _ in range(rnd.randint(1, 7))]
+            try:
+                arrangements.append(Arrangement(r, forms))
+            except ValueError:
+                continue  # a zero or repeated hyperplane
+        seen = set()
+        for arr in arrangements:
+            want = subset_girth(Arrangement(arr.r, arr.forms))
+            essential = arr._rank_of(range(len(arr.forms))) == arr.r
+            assert arr.girth() == want, arr.forms
+            assert arr.is_essential() == essential, arr.forms
+            seen.add(want if want in (3, 4, inf) else "other")
+            seen.add(essential)
+        assert seen == {3, 4, inf, "other", True, False}
+
+    @pytest.mark.parametrize("arr", [braid(4), Arrangement.generic(4, 8)], ids=["A4", "generic48"])
+    def test_no_rank_call(self, arr, monkeypatch):
+        def refuse(m):
+            raise AssertionError("rank called on an arrangement path")
+
+        monkeypatch.setattr(arrangement, "rank", refuse)
+        arr = Arrangement(arr.r, arr.forms)  # nothing cached
+        weights = Character.from_tail(range(1, arr.n + 1))
+        assert arr.is_essential()
+        if arr.girth() == 3:
+            with pytest.raises(GirthTooSmall):
+                arr.generic_position_profile()
+        else:
+            assert arr.generic_position_profile() == (arr.r - 1, True)
+        assert arr.dense_edges()
+        arr.is_nonresonant(weights)
+        assert arr.betti_data().betti[0] == 1

@@ -178,6 +178,46 @@ class TestHomologyCommands:
         assert code == 2
         assert json.loads(out)["error"] == "GirthTooSmall"
 
+    def test_wrong_weight_count_is_input_error(self, capsys, tmp_path):
+        # 4 forms take 3 or 4 weights.  homology koszul used to crash with an
+        # IndexError on 2 and run on the first 4 of 6; the other commands
+        # each refused with their own message.
+        arr = write(tmp_path, "a4.json", {"r": 3, "forms": [[1, 0, 0], [1, 1, 1], [1, 2, 4], [1, 3, 9]]})
+        koszul = ("homology", "koszul")
+        for cmd, weights in (
+            (koszul, "1,-1"),
+            (koszul + ("--full",), "1,-1"),
+            (koszul, "1,-1,0,0,0,0"),
+            (("arr", "nonres"), "1,-1"),
+            (("pi", "rank"), "1,-1"),
+            (("crosscheck",), "1,-1"),
+        ):
+            code, out = run(capsys, *cmd, "--arrangement", arr, f"--weights={weights}")
+            assert code == 1, cmd
+            got = len(weights.split(","))
+            assert json.loads(out) == {
+                "error": "InvalidCharacter", "reason": f"need 3 or 4 weights, got {got}"}
+
+    def test_non_integral_inputs_are_input_errors(self, capsys, tmp_path):
+        # int() used to truncate each of these and the command exited 0
+        exps = write(tmp_path, "e.json", {"exponents": [2.9, 1.5]})
+        wts = write(tmp_path, "w.json", {
+            "exponents": [1, 1, 1, 1],
+            "weights": {"g2_1": 1.5, "g3_1": 1, "g4_1": 1, "g5_1": 1},
+        })
+        arr = write(tmp_path, "r.json", dict(GENERIC5, r=3.7))
+        for argv, value in (
+            (("homology", "tower", "--tower", exps), "1.5"),
+            (("homology", "tower", "--tower", wts), "1.5"),
+            (("pi", "rank", "--tower", wts, "--p", "2"), "1.5"),
+            (("arr", "girth", "--arrangement", arr), "3.7"),
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 1, argv
+            rep = json.loads(out)
+            assert rep["error"] == "ValueError"
+            assert "must be an integer" in rep["reason"] and value in rep["reason"]
+
     def test_fox(self, capsys, tmp_path):
         pres = write(
             tmp_path,

@@ -17,6 +17,7 @@ degree can be cross-checked against an Euler-characteristic formula.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 from math import comb, inf
 
@@ -25,11 +26,19 @@ from .chain import FreeChainComplex, Homology
 # ``rank`` is no longer called here but stays importable as ``koszul.rank``:
 # the benchmark's tracer self-test (bench/test_bench.py) checks that binding.
 from .linalg import Matrix, rank  # noqa: F401
-from .rings import LaurentRing, QQ, Ring, UnsupportedRing
+from .rings import CyclotomicField, LaurentRing, QQ, Ring, UnsupportedRing
 
 
 class Disagreement(RuntimeError):
     """Two computation paths that must agree did not; a convention bug."""
+
+
+def require_agreement(checks):
+    """``checks``, a list of {"name", "values", "agree"} comparisons of
+    paired routes, or Disagreement carrying their JSON when any differs."""
+    if not all(c["agree"] for c in checks):
+        raise Disagreement(json.dumps(checks))
+    return checks
 
 
 def colex_subsets(n, q):
@@ -74,11 +83,29 @@ class UnitAssignment:
                         )
 
     @classmethod
+    def from_weights(cls, ring: Ring, weights):
+        """The unit of each integer weight w: t^w over K[t,t^-1], zeta^w over
+        Q(zeta_d), and 1 over any other field, which takes zero weights only.
+        A ring that is not a field has no units to offer."""
+        if isinstance(ring, LaurentRing):
+            return cls(ring, [ring.t(w) for w in weights])
+        if isinstance(ring, CyclotomicField):
+            return cls(ring, [ring.zeta(w) for w in weights])
+        if not ring.is_field:
+            raise UnsupportedRing(f"cannot interpret weights in {ring.name}")
+        if any(weights):
+            raise UnsupportedRing(
+                f"{ring.name} has no distinguished unit: only zero weights make sense"
+            )
+        return cls(ring, [ring.one for _ in weights])
+
+    @classmethod
     def from_character(cls, character: Character):
         """Units t^(gamma_i), i = 1..n, over Q[t,t^-1]; the weight of H_0 is
         determined by the zero-sum constraint and plays no role here."""
-        ring = LaurentRing(QQ)
-        return cls(ring, [ring.t(character[i]) for i in range(1, len(character))])
+        return cls.from_weights(
+            LaurentRing(QQ), [character[i] for i in range(1, len(character))]
+        )
 
     def slot_block(self, i) -> Matrix:
         return self._slot[i]
@@ -129,16 +156,12 @@ class RangeHomology:
         return self.entries[q]
 
 
-def generic_range_homology(
-    arr: Arrangement, u: UnitAssignment, full: FreeChainComplex = None
-) -> RangeHomology:
+def generic_range_homology(arr: Arrangement, u: UnitAssignment) -> RangeHomology:
     """H_q(M(A); L) for q < c - 2, straight from the Z^n complex.
 
     Valid because in that range the homology depends only on the module and
     on n; for c = inf the arrangement is Boolean and every degree counts
-    (reported with a note).  ``full``, a complex of ``u`` built past the
-    last degree reported, is read instead of building the truncation when
-    the caller already has it: the two agree in every degree reported here."""
+    (reported with a note)."""
     if u.n != arr.n:
         raise ValueError(f"unit assignment has n={u.n}, arrangement has n={arr.n}")
     c = arr.girth()
@@ -153,7 +176,7 @@ def generic_range_homology(
         limit = c - 2
         note = ""
     complex_top = min(arr.n, limit)
-    cx = build_koszul(u, complex_top) if full is None else full
+    cx = build_koszul(u, complex_top)
     entries = {q: cx.homology(q) for q in range(min(limit, complex_top + 1))}
     return RangeHomology(entries, c, limit, note)
 
@@ -169,17 +192,15 @@ class CompleteHomology:
         "kappa",
         "top_rank_formula",
         "top_rank_direct",
-        "case",
     )
 
-    def __init__(self, entries, top_degree, chi, kappa, formula, direct, case):
+    def __init__(self, entries, top_degree, chi, kappa, formula, direct):
         self.entries = entries
         self.top_degree = top_degree
         self.chi = chi
         self.kappa = kappa
         self.top_rank_formula = formula
         self.top_rank_direct = direct
-        self.case = case
 
     def __getitem__(self, q):
         if q in self.entries:
@@ -247,15 +268,7 @@ def complete_homology_generic_position(
             f"top homology rank: formula gives {formula}, kernel gives {direct}"
         )
     entries[r - 1] = Homology(direct)
-    return CompleteHomology(
-        entries,
-        r - 1,
-        chi,
-        kappa,
-        formula,
-        direct,
-        "laurent" if isinstance(u.ring, LaurentRing) else "field",
-    )
+    return CompleteHomology(entries, r - 1, chi, kappa, formula, direct)
 
 
 class PresentationSummary:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from .chain import _as_count
 from .fox import GroupPresentation, NotMeridianMarked, alexander_complex
 from .koszul import Disagreement
 from .rings import QQ, CyclotomicField
@@ -32,8 +33,8 @@ class MilnorSpectrum:
     __slots__ = ("n", "values", "b1_total")
 
     def __init__(self, n, values):
-        self.n = int(n)
-        self.values = tuple(int(v) for v in values)
+        self.n = _as_count(n, "n")
+        self.values = tuple(_as_count(v, "a twisted Betti number") for v in values)
         if len(self.values) != self.n + 1:
             raise ValueError(f"need n+1 = {self.n + 1} values, got {len(self.values)}")
         if any(v < 0 for v in self.values):

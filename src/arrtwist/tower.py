@@ -40,6 +40,7 @@ from .koszul import (
     boolean_units,
     build_koszul,
     complete_homology_generic_position,
+    require_agreement,
 )
 from .linalg import Matrix
 from .rings import LaurentRing, QQ
@@ -489,7 +490,7 @@ def rank_formula_nonresonant(chi: int, r: int, m: int, b_r_pi=None, exponents=No
             b_r_pi = coeffs[r] if r < len(coeffs) else 0
         if b_r_pi is None:
             raise ValueError("r+1 = m needs b_r(pi) or the exponents")
-        out["rank"] = int(b_r_pi)
+        out["rank"] = _as_count(b_r_pi, "b_r(pi)")
     else:
         raise ValueError("a proper section needs r < m")
     if exponents is not None:
@@ -513,9 +514,9 @@ class BooleanPiRank:
     ``presentation`` is d_(p+2) with its cokernel; ``formula`` is
     :func:`rank_formula_general` on the Tor ranks of the complex;
     ``nonresonant_rank`` is the combinatorial value, or None when the
-    character is resonant.  ``homology`` is the complete twisted homology and
-    ``complex`` the Z^n complex, up to degree min(n, r + 1), all of them
-    were read from.
+    character is resonant.  ``homology`` is the complete twisted homology,
+    read from the same complex.  ``checks`` lists the paired routes as
+    compared, each {"name", "values", "agree"}; every one agrees.
     """
 
     __slots__ = (
@@ -525,18 +526,22 @@ class BooleanPiRank:
         "formula",
         "nonresonant",
         "nonresonant_rank",
-        "complex",
+        "checks",
     )
 
     def __init__(self, p, presentation, homology, formula,
-                 nonresonant, nonresonant_rank, complex):
+                 nonresonant, nonresonant_rank, checks):
         self.p = p
         self.presentation = presentation
         self.homology = homology
         self.formula = formula
         self.nonresonant = nonresonant
         self.nonresonant_rank = nonresonant_rank
-        self.complex = complex
+        self.checks = checks
+
+
+def _check(name, a, b):
+    return {"name": name, "values": [a, b], "agree": a == b}
 
 
 def boolean_pi_rank(arr, character) -> BooleanPiRank:
@@ -547,8 +552,10 @@ def boolean_pi_rank(arr, character) -> BooleanPiRank:
     d_(p+2) = d_(r+1), so the complex is built up to degree min(n, r + 1).
     Its per-boundary cache means each boundary is eliminated once for the
     presentation, the complete homology and the Tor ranks together.
-    The routes are returned, not compared: callers decide how to report a
-    disagreement.
+    The routes are compared here, once: the top-degree homology by the kappa
+    formula and the kernel rank, then the cokernel rank against the
+    Euler-characteristic formula and, for a nonresonant character, against
+    the combinatorial value.  Any mismatch raises Disagreement.
     """
     p, u = boolean_units(arr, character)
     full = build_koszul(u, min(arr.n, arr.r + 1))
@@ -557,12 +564,21 @@ def boolean_pi_rank(arr, character) -> BooleanPiRank:
     tor_ranks = [full.homology(q).free_rank for q in range(arr.r + 1)]
     formula = rank_formula_general(homology.chi, arr.r, tor_ranks)
     nonresonant, _ = arr.is_nonresonant(character)
+    rank = presentation.cokernel.free_rank
+    checks = [
+        _check("top-degree homology: kappa formula vs kernel rank",
+               homology.top_rank_formula, homology.top_rank_direct),
+        _check("pi_p rank: cokernel vs Euler-characteristic formula", rank, formula),
+    ]
     nonresonant_rank = None
     if nonresonant:
         nonresonant_rank = rank_formula_nonresonant(
             homology.chi, arr.r, arr.n + 1, b_r_pi=comb(arr.n, arr.r)
         )["rank"]
+        checks.append(
+            _check("pi_p rank: nonresonant combinatorial value", rank, nonresonant_rank)
+        )
     return BooleanPiRank(
         p, presentation, homology, formula,
-        nonresonant, nonresonant_rank, full,
+        nonresonant, nonresonant_rank, require_agreement(checks),
     )

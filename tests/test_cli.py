@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from arrtwist import tower
 from arrtwist.cli import build_parser, main
+from arrtwist.koszul import Disagreement
 from arrtwist.tower import TowerSpec, check_tower
 
 
@@ -274,6 +276,75 @@ class TestHomologyCommands:
             assert json.loads(out) == {"error": "TowerInvalid", "reason": reason}
 
 
+class TestWeightsToUnits:
+    """Weights become units by one rule: t^w over K[t,t^-1], zeta^w over
+    Q(zeta_d), 1 over any other field (zero weights only), and no units at
+    all over a ring that is not a field."""
+
+    PRES = {"generators": 2, "relators": ["aba-1b-1"], "meridians": True}
+
+    def _commands(self, tmp_path, weights):
+        arr = write(tmp_path, "a.json", GENERIC5)
+        pres = write(tmp_path, "p.json", self.PRES)
+        koszul = ("homology", "koszul", "--arrangement", arr, f"--weights={weights}")
+        fox = ("homology", "fox", "--presentation", pres,
+               "--weights=" + ",".join(weights.split(",")[:2]))
+        return {"koszul": koszul, "full": koszul + ("--full",), "fox": fox}
+
+    @pytest.mark.parametrize("ring", ["cyclotomic:3", "Q", "F5"])
+    def test_zero_weights_over_fields(self, capsys, tmp_path, ring):
+        # every unit is 1: the untwisted Betti numbers
+        expect = {
+            "koszul": {"0": 1, "1": 4},
+            "full": {"0": 1, "1": 4, "2": 6},
+            "fox": {"0": 1, "1": 2},
+        }
+        for name, argv in self._commands(tmp_path, "0,0,0,0,0").items():
+            code, out = run(capsys, *argv, "--ring", ring)
+            assert code == 0, (name, out)
+            rep = json.loads(out)
+            assert rep["ring"] == ring
+            assert {q: h["free_rank"] for q, h in rep["homology"].items()} == expect[name]
+            assert all(h["torsion"] == [] for h in rep["homology"].values())
+
+    def test_cyclotomic_weights_are_powers_of_zeta(self, capsys, tmp_path):
+        # zeta_3 acting on a meridian kills H_0 and, for Z^2, H_1 as well
+        code, out = run(capsys, *self._commands(tmp_path, "1,1")["fox"],
+                        "--ring", "cyclotomic:3")
+        assert code == 0
+        assert {q: h["free_rank"] for q, h in json.loads(out)["homology"].items()} == {
+            "0": 0, "1": 0}
+
+    @pytest.mark.parametrize("ring", ["Q", "F5"])
+    def test_nonzero_weight_over_plain_field_is_refused(self, capsys, tmp_path, ring):
+        for name, argv in self._commands(tmp_path, "-1,1,0,0,0").items():
+            code, out = run(capsys, *argv, "--ring", ring)
+            assert code == 2, name
+            assert json.loads(out) == {
+                "error": "UnsupportedRing",
+                "reason": f"{ring} has no distinguished unit: only zero weights make sense",
+            }
+
+    def test_integers_are_refused(self, capsys, tmp_path):
+        for name, argv in self._commands(tmp_path, "0,0,0,0,0").items():
+            code, out = run(capsys, *argv, "--ring", "Z")
+            assert code == 2, name
+            assert json.loads(out) == {
+                "error": "UnsupportedRing", "reason": "cannot interpret weights in Z"}
+
+    def test_tower_weights_flag_wins_over_file(self, capsys, tmp_path):
+        def tower(name, g2):  # H_0 is K[t,t^-1] / (t^g2 - 1)
+            return write(tmp_path, name, {
+                "exponents": [1, 1], "weights": {"g2_1": g2, "g3_1": 0}})
+
+        _, one = run(capsys, "homology", "tower", "--tower", tower("t1.json", 1))
+        _, two = run(capsys, "homology", "tower", "--tower", tower("t2.json", 2))
+        code, out = run(capsys, "homology", "tower", "--tower", tower("t3.json", 1),
+                        "--weights", "g2_1=2")
+        assert code == 0
+        assert out == two != one
+
+
 class TestPiAndChain:
     def test_pi_rank_boolean_path(self, capsys, tmp_path):
         arr = write(tmp_path, "a.json", GENERIC5)
@@ -325,6 +396,27 @@ class TestPiAndChain:
         rep = json.loads(out)
         assert rep["error"] == "ValueError"
         assert "--arrangement" in rep["reason"] and "--tower" in rep["reason"]
+
+    def test_pi_rank_arrangement_refuses_p(self, capsys, tmp_path):
+        # p = r - 1 is derived from the arrangement; --p 7 used to be ignored
+        arr = write(tmp_path, "a.json", GENERIC5)
+        code, out = run(
+            capsys, "pi", "rank", "--arrangement", arr, "--weights=-4,1,1,1,1", "--p", "7"
+        )
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "--p" in rep["reason"] and "--tower" in rep["reason"]
+
+    def test_route_mismatch_is_a_disagreement(self, capsys, tmp_path, monkeypatch):
+        real = tower.rank_formula_general
+        monkeypatch.setattr(
+            tower, "rank_formula_general", lambda *args: real(*args) + 1)
+        arr = write(tmp_path, "a.json", GENERIC5)
+        for cmd in (("pi", "rank"), ("crosscheck",)):
+            with pytest.raises(Disagreement, match="Euler-characteristic formula"):
+                main([*cmd, "--arrangement", arr, "--weights=-4,1,1,1,1"])
+        assert capsys.readouterr().out == ""
 
     def test_chain_iso_distinguishes(self, capsys, tmp_path):
         a = write(tmp_path, "c2.json", DIAG2)

@@ -20,7 +20,6 @@ from arrtwist.koszul import (
     UnitAssignment,
     build_koszul,
     complete_homology_generic_position,
-    generic_range_homology,
     pi_p_presentation_boolean,
 )
 from arrtwist.linalg import Matrix, rank, smith_normal_form
@@ -100,10 +99,6 @@ class TestSharedComplex:
         ch = Character.from_tail([1, 1, 2, 1, 1])
         u = UnitAssignment.from_character(ch)
         full = build_koszul(u)
-        assert (
-            generic_range_homology(arr, u, full).entries
-            == generic_range_homology(arr, u).entries
-        )
         a = complete_homology_generic_position(arr, u, full)
         b = complete_homology_generic_position(arr, u)
         assert a.entries == b.entries and a.top_rank_direct == b.top_rank_direct

@@ -47,6 +47,13 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             MilnorSpectrum(5, [5, 1, 0, 0, 1, 0])  # symmetry violated
 
+    def test_non_integral_inputs_refused(self):
+        # int() used to read these as n = 2, values (2, 1, 1): a valid spectrum
+        for n, values, bad in ((2.7, [2, 1, 1], "2.7"), (2, [2, 1.9, 1.2], "1.9")):
+            with pytest.raises(ValueError, match="must be an integer") as err:
+                MilnorSpectrum(n, values)
+            assert bad in str(err.value)
+
     def test_tietze_invariance(self):
         # Z^2 presented two ways: with one commutator, and with a redundant
         # conjugated copy of it

@@ -282,6 +282,11 @@ class TestRankFormulas:
         rep = rank_formula_nonresonant(0, 3, 4, exponents=[1, 2, 3])
         assert rep["rank"] == 6 == rep["exponent_product"]
 
+    def test_non_integral_b_r_refused(self):
+        # int() used to truncate 1.8 to rank 1
+        with pytest.raises(ValueError, match="must be an integer, got 1.8"):
+            rank_formula_nonresonant(1, 3, 4, b_r_pi=1.8)
+
     def test_exponent_product_crosscheck(self):
         rep = rank_formula_nonresonant(5, 3, 5, exponents=[1, 2, 3])
         assert rep["exponent_product"] == 6

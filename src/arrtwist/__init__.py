@@ -65,6 +65,7 @@ from .rings import (
     PrimeFieldElement,
     QQ,
     RationalField,
+    Refusal,
     UnsupportedRing,
     ZZ,
     cyclotomic_poly,

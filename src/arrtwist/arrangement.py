@@ -25,10 +25,10 @@ from math import gcd, inf, lcm
 
 from .chain import _as_count
 from .linalg import Matrix, rank
-from .rings import ZZ
+from .rings import ZZ, Refusal
 
 
-class NotEssential(ValueError):
+class NotEssential(Refusal):
     pass
 
 
@@ -36,11 +36,11 @@ class InvalidCharacter(ValueError):
     pass
 
 
-class GirthTooSmall(ValueError):
+class GirthTooSmall(Refusal):
     """c(A) = 3: the connectivity order p(M) is not determined here."""
 
 
-class NotGenericPosition(ValueError):
+class NotGenericPosition(Refusal):
     pass
 
 

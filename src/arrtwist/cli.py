@@ -3,9 +3,9 @@ and maps errors to exit codes.  Every computation, every comparison of
 paired routes and the weight -> unit rule live in the library; a command
 only parses, calls it and reports.
 
-Exit status: 0 on success, 2 on a mathematical refusal (a precondition such
-as girth or genericity fails, with the reason in the report), 1 on input
-errors.  A Disagreement between paired computation paths, raised by the
+Exit status: 0 on success, 2 on a mathematical refusal (a ``Refusal``: a
+precondition such as girth or genericity fails, with the reason in the
+report), 1 on other input errors.  A Disagreement between paired computation paths, raised by the
 library, is a bug and is allowed to crash loudly.
 
 All reports are deterministic JSON on stdout; scalars are serialized exactly
@@ -20,16 +20,9 @@ import sys
 from functools import lru_cache
 from math import inf
 
-from .arrangement import (
-    Arrangement,
-    Character,
-    GirthTooSmall,
-    InvalidCharacter,
-    NotEssential,
-    NotGenericPosition,
-)
+from .arrangement import Arrangement, Character, InvalidCharacter
 from .chain import FreeChainComplex, decide_isomorphic
-from .fox import GroupPresentation, NotMeridianMarked, RelatorNotKilled, alexander_complex
+from .fox import GroupPresentation, alexander_complex
 from .koszul import (
     UnitAssignment,
     check_generic_position,
@@ -38,11 +31,9 @@ from .koszul import (
     require_agreement,
 )
 from .milnor import MilnorSpectrum, obstruction_report, spectrum_from_presentation
-from .rings import MixedRings, UnsupportedRing, ring_from_string
+from .rings import Refusal, ring_from_string
 from .tower import (
-    DegreeUnavailable,
     TowerCharacter,
-    TowerInvalid,
     TowerSpec,
     boolean_pi_rank,
     build_tower_complex,
@@ -50,26 +41,6 @@ from .tower import (
 )
 
 SCHEMA_VERSION = 1
-
-REFUSALS = (
-    GirthTooSmall,
-    NotGenericPosition,
-    NotEssential,
-    DegreeUnavailable,
-    UnsupportedRing,
-)
-
-INPUT_ERRORS = (
-    InvalidCharacter,
-    NotMeridianMarked,
-    RelatorNotKilled,
-    TowerInvalid,
-    MixedRings,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
 
 
 def _load(path):
@@ -380,9 +351,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         report = args.fn(args)
-    except REFUSALS + INPUT_ERRORS as e:  # a refusal may subclass an input error
+    except (ValueError, KeyError, OSError) as e:
         print(json.dumps({"error": type(e).__name__, "reason": str(e)}, indent=2))
-        return 2 if isinstance(e, REFUSALS) else 1
+        return 2 if isinstance(e, Refusal) else 1
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

@@ -5,14 +5,15 @@ pivot, and fraction-free (Bareiss) elimination over Z and Laurent rings,
 where no quotient leaves the ring; :meth:`Matrix.det` runs the same Bareiss
 loop.  Chain complexes use :func:`rank` over fields and otherwise read ranks
 from the Smith form, which is far cheaper on Laurent boundaries (see
-:mod:`arrtwist.chain`).  Smith normal forms use the classical
-elementary-operation algorithm over a Euclidean ring with smallest-size
-pivoting, then fix the divisor chain once on the diagonal; divisors are
-reported as canonical associates (positive over Z, valuation-0 monic over
-K[t,t^-1]).  Each elementary step is written once, as a row step: column
-steps are row steps on the transposed working array.  The optional left
-and right transforms are carried as identity blocks beside and below the
-matrix, so the same steps update them without extra code.
+:mod:`arrtwist.chain`).  Smith normal forms over a Euclidean ring
+alternate row echelon passes on the working array and on its transpose
+until it is diagonal (Kannan and Bachem), then fix the divisor chain once
+on the diagonal; divisors are reported as canonical associates (positive
+over Z, valuation-0 monic over K[t,t^-1]).  Each elementary step is written
+once, as a row step: column steps are row steps on the transposed working
+array, which is transposed once per pass.  The optional left and right
+transforms are carried as identity blocks beside and below the matrix, so
+the same steps update them without extra code.
 :meth:`Matrix.inverse` reads the inverse off the transforms over every
 ring.  Kernel bases come from the right transform, which over a PID yields
 a basis of the kernel of the map of free modules (automatically saturated).
@@ -302,29 +303,30 @@ class SmithForm:
 def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
     """Smith normal form over Z, a field, or K[t,t^-1].
 
-    The classical algorithm in two phases.  First diagonalize: move a
-    smallest nonzero entry to the pivot, clear its column and row by division
-    with remainder, and recurse on the rest.  Then fix the divisor chain on
-    the diagonal: wherever d_i fails to divide d_j (i < j), adding row j to
-    row i and clearing that pivot again turns (d_i, d_j) into
+    Two phases.  First diagonalize by alternating echelon passes (the scheme
+    of Kannan and Bachem, SIAM J. Comput. 8, 1979): bring the rows to row
+    echelon form by division with remainder, transpose, and repeat until the
+    block is diagonal.  Each pass turns the first pivot into a divisor of
+    the one before, of smaller size until its row and column are both clear,
+    and so on down the diagonal; so the passes stop.  Then fix the divisor
+    chain on the diagonal: wherever d_i fails to divide d_j (i < j), adding
+    row j to row i and diagonalizing again turns (d_i, d_j) into
     (gcd, lcm).  Walking the pairs in order leaves d_1 | d_2 | ... | d_s,
-    with one divisibility test per pair instead of a scan of the remaining
-    block at every pivot.  The result is the divisor chain; with
-    ``transforms=True``, invertible ``left`` and ``right`` with
+    with one divisibility test per pair.  The result is the divisor chain;
+    with ``transforms=True``, invertible ``left`` and ``right`` with
     ``left * m * right`` diagonal are returned as well.
 
     Every elementary step is a row step, and does ring arithmetic on the
-    nonzero entries of its source rows only.  A column step on ``m`` is the
+    nonzero entries of its source row only.  A column step on ``m`` is the
     same row step on its transpose, whose Smith form is the transpose of that
-    of ``m``; so the pivot row is cleared by transposing the working array,
-    clearing the pivot column, and transposing back (skipped when the row is
-    already clear).  The transforms ride along in the working array:
-    ``left`` starts as an identity block to the right of the rows, ``right``
-    as an identity block below the columns, and an ``nc x nr`` zero block
-    pads the array to a square.  Transposing swaps the roles of the two
-    blocks, so each row step updates ``left`` in one orientation and
-    ``right`` in the other.  Pivot search, clearing and content scaling read
-    only the top-left ``nr x nc`` block of the current orientation.
+    of ``m``, so a pass on the transposed array clears columns.  The
+    transforms ride along in the working array: ``left`` starts as an
+    identity block to the right of the rows, ``right`` as an identity block
+    below the columns, and an ``nc x nr`` zero block pads the array to a
+    square.  Transposing swaps the roles of the two blocks, so each row step
+    updates ``left`` in one orientation and ``right`` in the other.  Pivot
+    choice, clearing and content scaling read only the top-left ``nr x nc``
+    block of the current orientation.
     """
     R = m.ring
     one = R.one
@@ -349,75 +351,67 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         if u != one:
             scale_row(i, u)
 
-    def add_row(dst, src, coef):
-        a[dst] = [x + coef * y if y else x for x, y in zip(a[dst], a[src])]
+    def add_row(dst, src, coef, cols):
+        # ``cols``: the columns where row ``src`` is nonzero
+        row, srow = a[dst], a[src]
+        for j in cols:
+            row[j] = row[j] + coef * srow[j]
         normalize_row(dst)
 
-    def two_row_op(r1, r2, x, y, z, w):
-        # (row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2); caller supplies a
-        # unimodular 2x2, so the transform stays invertible.
-        u, v = a[r1], a[r2]
-        a[r1] = [(x * p + y * q if q else x * p) if p else (y * q if q else p)
-                 for p, q in zip(u, v)]
-        a[r2] = [(z * p + w * q if q else z * p) if p else (w * q if q else p)
-                 for p, q in zip(u, v)]
-        normalize_row(r1)
-        normalize_row(r2)
+    def support(i):
+        return [j for j, x in enumerate(a[i]) if x]
 
-    def clear_column(t):
-        """Zero a[i][t] for i > t against the pivot a[t][t], one unimodular
-        step per entry."""
-        for i in range(t + 1, nr):
-            p, v = a[t][t], a[i][t]
-            if R.is_zero(v):
+    def echelon(rows, cols):
+        """Row echelon form of the block on ``rows`` x ``cols``, one column
+        at a time, with the k-th pivot moved to ``rows[k]``; returns the
+        rank.  A smallest entry of the column below the pivots becomes the
+        pivot, the rows under it keep only their remainders, and this
+        repeats until the pivot is alone in its column.  Canonical (e.g.
+        monic) pivots keep quotient coefficients tame."""
+        k = 0
+        for c in cols:
+            live = [i for i in rows[k:] if a[i][c]]
+            if not live:
                 continue
-            q, r = R.euclid_divmod(v, p)
-            if R.is_zero(r):
-                add_row(i, t, -q)
-                continue
-            g, x, y = R.xgcd(p, v)
-            two_row_op(t, i, x, y, -R.exact_div(v, g), R.exact_div(p, g))
-
-    def reduce_pivot(t):
-        """Clear column t and row t against a[t][t], until both stay clear."""
-        while True:
-            # Canonical (e.g. monic) pivots keep quotient coefficients tame.
-            piv = a[t][t]
+            t = rows[k]
+            while True:
+                p = min(live, key=lambda i: R.euclid_size(a[i][c]))
+                a[t], a[p] = a[p], a[t]
+                piv = a[t][c]
+                live = [i for i in live if i != t and a[i][c]]
+                if not live:
+                    break
+                nz = support(t)
+                for i in live:
+                    add_row(i, t, -R.euclid_divmod(a[i][c], piv)[0], nz)
+                live = [t] + [i for i in live if a[i][c]]
             can = R.canonical(piv)
             if can != piv:
                 scale_row(t, R.exact_div(can, piv))
-            clear_column(t)
-            if not any(a[t][t + 1 : nc]):
-                return
+            k += 1
+        return k
+
+    def diagonalize(rows, cols):
+        """Echelon passes on the block ``rows`` x ``cols`` and on its
+        transpose until the block is diagonal, ending in the orientation it
+        started in; returns the rank.  The block's rows and columns must be
+        zero outside it.  A block in echelon form is diagonal exactly when
+        no row has an entry right of its diagonal entry."""
+        flipped = False
+        while True:
+            rk = echelon(rows, cols)
+            if not any(a[r][c] for k, r in enumerate(rows) for c in cols[k + 1 :]):
+                break
             transpose()
-            clear_column(t)
+            rows, cols = cols, rows
+            flipped = not flipped
+        if flipped:
             transpose()
-            if not any(a[i][t] for i in range(t + 1, nr)):
-                return  # else clearing the row re-dirtied the pivot column
+        return rk
 
     for i in range(nr):
         normalize_row(i)
-
-    t = 0
-    while t < min(nr, nc):
-        # global smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if not R.is_zero(a[i][j]):
-                    sz = R.euclid_size(a[i][j])
-                    if best is None or sz < best[0]:
-                        best = (sz, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            transpose()
-            a[t], a[bj] = a[bj], a[t]
-            transpose()
-        reduce_pivot(t)
-        t += 1
+    t = diagonalize(range(nr), range(nc))
 
     # the divisor chain: after pass i, d_i divides every later d_j, and the
     # (gcd, lcm) steps of later passes keep that true
@@ -426,8 +420,8 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
             continue
         for j in range(i + 1, t):
             if not R.is_zero(R.euclid_divmod(a[j][j], a[i][i])[1]):
-                add_row(i, j, one)
-                reduce_pivot(i)
+                add_row(i, j, one, support(j))
+                diagonalize([i, j], [i, j])
 
     divisors = [R.canonical(a[k][k]) for k in range(t)]
     if not transforms:

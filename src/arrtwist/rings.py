@@ -46,7 +46,13 @@ class MixedRings(ValueError):
     """Raised when values from incompatible rings are combined."""
 
 
-class UnsupportedRing(ValueError):
+class Refusal(ValueError):
+    """A well-formed input that a computation declines, because a
+    precondition of its method fails (the command line exits with code 2 on
+    it, and with code 1 on other input errors)."""
+
+
+class UnsupportedRing(Refusal):
     """Raised when an operation does not support the coefficient ring."""
 
 
@@ -577,29 +583,6 @@ class Ring:
                 r = self.content_unit([r]) * r
             a, b = b, r
         return self.canonical(a)
-
-    def xgcd(self, a, b):
-        """(g, x, y) with x*a + y*b = g and g the canonical gcd.
-
-        Remainders are content-reduced along the way (a unit rescaling of
-        the whole Bezout identity), which keeps Laurent coefficient growth
-        polynomial."""
-        r0, x0, y0 = a, self.one, self.zero
-        r1, x1, y1 = b, self.zero, self.one
-        while not self.is_zero(r1):
-            q, r = self.euclid_divmod(r0, r1)
-            x, y = x0 - q * x1, y0 - q * y1
-            if not self.is_zero(r):
-                u = self.content_unit([r])
-                if not self.is_zero(u - self.one):
-                    r, x, y = u * r, u * x, u * y
-            r0, x0, y0 = r1, x1, y1
-            r1, x1, y1 = r, x, y
-        g = self.canonical(r0)
-        if not self.is_zero(r0):
-            u = self.exact_div(g, r0)
-            x0, y0 = u * x0, u * y0
-        return g, x0, y0
 
     def format(self, a) -> str:
         return repr(self.coerce(a))

@@ -43,14 +43,14 @@ from .koszul import (
     require_agreement,
 )
 from .linalg import Matrix
-from .rings import LaurentRing, QQ
+from .rings import LaurentRing, QQ, Refusal
 
 
 class TowerInvalid(ValueError):
     pass
 
 
-class DegreeUnavailable(ValueError):
+class DegreeUnavailable(Refusal):
     pass
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import arrtwist
 from arrtwist import tower
 from arrtwist.cli import build_parser, main
 from arrtwist.koszul import Disagreement
@@ -468,6 +469,37 @@ class TestPiAndChain:
             capsys, "arr", "betti", "--arrangement", "/nonexistent/path.json"
         )
         assert code == 1
+
+
+class TestRefusals:
+    def test_every_refusal_exits_2(self, capsys, tmp_path):
+        """The exit code comes from the exception type: every refusal class
+        the package exports is a Refusal, and each one exits with code 2."""
+        non_essential = write(tmp_path, "ne.json", {"r": 3, "forms": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]})
+        girth3 = write(tmp_path, "g3.json", {"r": 3, "forms": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]})
+        boolean = write(tmp_path, "b.json", {"r": 3, "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        generic = write(tmp_path, "a.json", GENERIC5)
+        tw = write(tmp_path, "t.json", {"exponents": [2, 1]})
+        cases = [
+            (arrtwist.NotEssential, ("arr", "betti", "--arrangement", non_essential)),
+            (arrtwist.GirthTooSmall,
+             ("homology", "koszul", "--arrangement", girth3, "--weights", "1,1,-1")),
+            (arrtwist.NotGenericPosition,
+             ("pi", "rank", "--arrangement", boolean, "--weights=-2,1,1")),
+            (arrtwist.DegreeUnavailable, ("pi", "rank", "--tower", tw, "--p", "-1")),
+            (arrtwist.UnsupportedRing,
+             ("homology", "koszul", "--arrangement", generic, "--weights=-4,1,1,1,1",
+              "--ring", "bogus")),
+        ]
+        exported = {
+            c for c in vars(arrtwist).values()
+            if isinstance(c, type) and issubclass(c, arrtwist.Refusal) and c is not arrtwist.Refusal
+        }
+        assert exported == {cls for cls, _ in cases}
+        for cls, argv in cases:
+            assert issubclass(cls, ValueError)
+            code, out = run(capsys, *argv)
+            assert (code, json.loads(out)["error"]) == (2, cls.__name__), argv
 
 
 class TestCrosscheck:

@@ -129,21 +129,6 @@ class TestLaurent:
         assert L.parse(L.format(x)) == x
         assert L.is_unit(z * L.t(-4))
 
-    def test_xgcd_identity(self, rnd):
-        L = LaurentRing(QQ)
-        t = L.t()
-        for _ in range(25):
-            a = sum((rnd.randint(-2, 2) * t**e for e in range(-2, 3)), L.zero)
-            b = sum((rnd.randint(-2, 2) * t**e for e in range(-1, 2)), L.zero)
-            if L.is_zero(a) and L.is_zero(b):
-                continue
-            g, x, y = L.xgcd(a, b)
-            assert x * a + y * b == g
-            if not L.is_zero(a):
-                assert L.is_zero(L.euclid_divmod(a, g)[1])
-            if not L.is_zero(b):
-                assert L.is_zero(L.euclid_divmod(b, g)[1])
-
 
 class TestPrimeField:
     def test_arithmetic(self):
@@ -397,7 +382,7 @@ class TestLaurentAgainstReference:
         L = ring_from_string(name)
         a, b = L.parse(a), L.parse(b)
         q, r = L.euclid_divmod(a, b)
-        got = [a + b, a - b, a * b, q, r, L.canonical(a), L.content_unit([a, b]), L.xgcd(a, b)[0]]
+        got = [a + b, a - b, a * b, q, r, L.canonical(a), L.content_unit([a, b]), L.gcd(a, b)]
         assert [L.format(x) for x in got] == expected
 
 

@@ -414,12 +414,13 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
     t = diagonalize(range(nr), range(nc))
 
     # the divisor chain: after pass i, d_i divides every later d_j, and the
-    # (gcd, lcm) steps of later passes keep that true
+    # (gcd, lcm) steps of later passes keep that true; an equal d_j needs
+    # no division
     for i in range(t):
         if R.is_unit(a[i][i]):
             continue
         for j in range(i + 1, t):
-            if not R.is_zero(R.euclid_divmod(a[j][j], a[i][i])[1]):
+            if a[j][j] != a[i][i] and not R.is_zero(R.euclid_divmod(a[j][j], a[i][i])[1]):
                 add_row(i, j, one, support(j))
                 diagonalize([i, j], [i, j])
 

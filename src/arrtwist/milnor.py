@@ -3,11 +3,26 @@
 For an essential arrangement of n+1 hyperplanes with a meridian-marked
 presentation of the complement's fundamental group, b_1 of the Milnor fiber
 splits as the sum over t = 0..n of the twisted first Betti numbers where
-every meridian acts by u^t, u a primitive (n+1)-st root of unity.  All t are
-computed inside the single field Q(zeta_(n+1)); t = 0 is the untwisted case
-and must give n.  When gcd(t, n+1) = gcd(s, n+1) the twisted matrices for t
-and s are Galois conjugate, so b_1^t = b_1^s; every t is still computed, and
-a computed spectrum that breaks this raises ``Disagreement``.
+every meridian acts by u^t, u a primitive (n+1)-st root of unity.  t = 0 is
+the untwisted case and must give n.  For t >= 1, u^t is a primitive e-th
+root of unity with e = (n+1) / gcd(t, n+1), and its Galois conjugates are
+the u^s with gcd(s, n+1) = gcd(t, n+1); so b_1^t depends only on that gcd
+and is computed once per class.
+
+Every value is read off one complex: the presentation complex over
+Q[s, s^-1] with every meridian sent to s, assembled (and checked to be a
+complex) once.  Two routes give each class's value:
+
+* the Alexander module (Libgober, Duke Math. J. 49, 1982).  H_1 over
+  Q[s, s^-1] is a free part plus the torsion of the Smith divisors of d_2.
+  As d_2 = P D Q with P, Q invertible over Q[s, s^-1], and s -> zeta_e is a
+  ring map, the rank of d_2 at zeta_e counts the divisors that do not vanish
+  there; so b_1^t is the free rank plus the number of torsion divisors that
+  Phi_e divides (the Phi_e rule);
+* the cyclotomic rank: the complex specialized by s -> zeta_e into
+  Q(zeta_e), where H_1's rank comes from Gaussian elimination.
+
+A class whose two values differ raises ``Disagreement``.
 
 If the complement embedded as a subcomplex of a minimal structure on the
 ambient Boolean complement (through degree 2), the twisted numbers for
@@ -23,7 +38,9 @@ from math import gcd
 from .chain import _as_count
 from .fox import GroupPresentation, NotMeridianMarked, alexander_complex
 from .koszul import Disagreement
-from .rings import QQ, CyclotomicField
+from .rings import (
+    QQ, CyclotomicElement, CyclotomicField, LaurentPoly, LaurentRing, cyclotomic_poly,
+)
 
 
 class MilnorSpectrum:
@@ -54,8 +71,40 @@ class MilnorSpectrum:
         return f"MilnorSpectrum(n={self.n}, values={list(self.values)})"
 
 
+def _at_root_of_unity(cx, e):
+    """The complex ``cx`` over Q[s, s^-1] specialized by s -> zeta_e into
+    Q(zeta_e): the coefficient of s^k lands on zeta_e^(k mod e), so the
+    image of each entry costs integer additions and one reduction modulo
+    Phi_e."""
+
+    def image(p):
+        v = [0] * e
+        for k, c in p.coeffs.items():
+            v[k % e] += c
+        return CyclotomicElement(e, v)
+
+    return cx.tensor_substitute(CyclotomicField(e), image)
+
+
+def _vanishes_at_root(delta, phi):
+    """Whether Phi_e (given as the Laurent polynomial ``phi``) divides
+    ``delta``, that is whether delta(zeta_e) = 0."""
+    return not delta.divmod(phi)[1]
+
+
 def spectrum_from_presentation(pres: GroupPresentation) -> MilnorSpectrum:
     """The spectrum of a meridian-marked presentation.
+
+    One complex: the presentation complex over L = Q[s, s^-1] with every
+    meridian sent to s.  t = 0 reads it at s = 1 over Q.  For each divisor
+    g <= n of n+1, with e = (n+1)/g, every t with gcd(t, n+1) = g gets
+
+    * the Alexander-module value: the free rank of H_1 over L plus the
+      number of its torsion divisors that Phi_e divides;
+    * the cyclotomic value: the rank of H_1 of the complex at s = zeta_e,
+      over Q(zeta_e);
+
+    and ``Disagreement`` is raised when the two differ.
 
     >>> pencil = GroupPresentation(2, (), meridian_marked=True)  # pi_1 = F_2
     >>> spectrum_from_presentation(pencil).values
@@ -66,27 +115,31 @@ def spectrum_from_presentation(pres: GroupPresentation) -> MilnorSpectrum:
             "the spectrum needs generators marked as meridians"
         )
     n = pres.n
-    values = [None] * (n + 1)
+    L = LaurentRing(QQ)
+    cx = alexander_complex(pres, [L.t()] * n, L)
     # t = 0: constant coefficients; meridian marking forces b_1 = n.
-    h1 = alexander_complex(pres, [QQ.one] * n, QQ).homology(1)
+    h1 = cx.tensor_substitute(QQ, lambda p: sum(p.coeffs.values())).homology(1)
     if h1.free_rank != n:
         raise NotMeridianMarked(
             f"untwisted H_1 has rank {h1.free_rank}, expected n = {n}"
         )
-    values[0] = n
-    K = CyclotomicField(n + 1)
-    by_gcd = {}
-    for t in range(1, n + 1):
-        units = [K.zeta(t)] * n
-        values[t] = alexander_complex(pres, units, K).homology(1).free_rank
-        # zeta^t and zeta^s with gcd(t, n+1) = gcd(s, n+1) are Galois
-        # conjugate, and so are the twisted matrices and their ranks
-        first = by_gcd.setdefault(gcd(t, n + 1), t)
-        if values[t] != values[first]:
+    values = [n] + [None] * n
+    h = cx.homology(1)
+    for g in range(1, n + 1):
+        if (n + 1) % g:
+            continue
+        e = (n + 1) // g
+        phi = LaurentPoly(QQ, dict(enumerate(cyclotomic_poly(e))))
+        module = h.free_rank + sum(1 for d in h.torsion if _vanishes_at_root(d, phi))
+        rank = _at_root_of_unity(cx, e).homology(1).free_rank
+        if module != rank:
             raise Disagreement(
-                f"b_1^{t} = {values[t]} but b_1^{first} = {values[first]}, "
-                f"though gcd({t}, {n + 1}) = gcd({first}, {n + 1})"
+                f"b_1^{g} (gcd({g}, {n + 1}) = {g}): the Alexander module "
+                f"gives {module}, the rank over Q(zeta_{e}) gives {rank}"
             )
+        for t in range(g, n + 1, g):
+            if gcd(t, n + 1) == g:
+                values[t] = module
     return MilnorSpectrum(n, values)
 
 

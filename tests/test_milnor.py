@@ -1,17 +1,32 @@
+import random
+from math import gcd
+
 import pytest
 
 from arrtwist import milnor
-from arrtwist.fox import FreeWord, GroupPresentation, NotMeridianMarked
+from arrtwist.chain import FreeChainComplex, Homology
+from arrtwist.fox import FreeWord, GroupPresentation, NotMeridianMarked, alexander_complex
 from arrtwist.koszul import Disagreement
 from arrtwist.milnor import MilnorSpectrum, obstruction_report, spectrum_from_presentation
-from arrtwist.rings import CyclotomicField
+from arrtwist.rings import QQ, CyclotomicField, LaurentRing
 
-from conftest import conjugated_commutators
+from conftest import conjugated_commutators, random_word
 
 
 def pencil_presentation():
     """pi_1 of the complement of three concurrent lines: F_2."""
     return GroupPresentation(2, (), meridian_marked=True)
+
+
+def phi3_presentation():
+    """<a..e | [a, b], [b, c], [c, d], [d, e^3]>: the Alexander module over
+    Q[s, s^-1] has torsion divisors (s - 1, s - 1, s - 1, s^3 - 1).  Every
+    Fox derivative of a meridian-marked relator vanishes at s = 1, so every
+    divisor carries Phi_1; beyond it the torsion is Phi_3, and b_1^t rises
+    exactly at the t with e = 6 / gcd(t, 6) = 3, that is t = 2, 4."""
+    return GroupPresentation(
+        5, ["aba-1b-1", "bcb-1c-1", "cdc-1d-1", "deeed-1e-1e-1e-1"], meridian_marked=True
+    )
 
 
 def generic_lines_presentation():
@@ -36,6 +51,16 @@ class TestSpectrum:
         s = spectrum_from_presentation(GroupPresentation(1, (), meridian_marked=True))
         assert s.values == (1, 0)
         assert s.b1_total == 1
+
+    def test_one_assembly(self, monkeypatch):
+        # every b_1^t, both routes, is read off one presentation complex
+        rings = []
+        original = milnor.alexander_complex
+        monkeypatch.setattr(
+            milnor, "alexander_complex", lambda *args: rings.append(args[2]) or original(*args)
+        )
+        spectrum_from_presentation(GroupPresentation.commutative(5))
+        assert rings == [LaurentRing(QQ)]
 
     def test_requires_marking(self):
         with pytest.raises(NotMeridianMarked):
@@ -109,28 +134,54 @@ class TestNonabelianSpectrum:
 
 
 class TestGaloisClasses:
-    def perturb(self, monkeypatch, ts):
-        """Compute b_1^t for t in ``ts`` with trivial units instead."""
-        original = milnor.alexander_complex
+    def perturb(self, monkeypatch, es):
+        """Specialize at s = 1 instead of s = zeta_e, for e in ``es``, in the
+        cyclotomic route (route 2) of the gcd classes e = (n+1)/gcd(t, n+1)."""
+        original = milnor._at_root_of_unity
 
-        def perturbed(pres, units, ring):
-            if isinstance(ring, CyclotomicField) and any(units[0] == ring.zeta(t) for t in ts):
-                units = [ring.one] * len(units)
-            return original(pres, units, ring)
+        def perturbed(cx, e):
+            if e not in es:
+                return original(cx, e)
+            K = CyclotomicField(e)
+            return cx.tensor_substitute(K, lambda p: K.coerce(sum(p.coeffs.values())))
 
-        monkeypatch.setattr(milnor, "alexander_complex", perturbed)
+        monkeypatch.setattr(milnor, "_at_root_of_unity", perturbed)
 
     def test_one_perturbed_t_disagrees(self, monkeypatch):
-        self.perturb(monkeypatch, [2])
+        # t = 2 has gcd 2 with n + 1 = 6: its class is e = 3 (t = 2, 4)
+        self.perturb(monkeypatch, [3])
         with pytest.raises(Disagreement, match="gcd"):
             spectrum_from_presentation(GroupPresentation.commutative(5))
 
     def test_perturbed_conjugate_pair_disagrees(self, monkeypatch):
-        # t = 2 and t = 3 are complex conjugates for n + 1 = 5, so the
-        # conjugation check alone would accept (4, 0, 4, 4, 0)
-        self.perturb(monkeypatch, [2, 3])
+        # t = 2 and t = 3 are complex conjugates for n + 1 = 5, and with
+        # t = 1, 4 they form the whole gcd-1 class e = 5; the conjugation
+        # check alone would accept (4, 4, 4, 4, 4), the route comparison not
+        self.perturb(monkeypatch, [5])
         with pytest.raises(Disagreement, match="gcd"):
             spectrum_from_presentation(GroupPresentation.commutative(4))
+
+    @pytest.mark.parametrize("pres", (GroupPresentation.commutative(5), phi3_presentation()))
+    def test_flipped_phi_e_rule_disagrees(self, monkeypatch, pres):
+        # route 1 counts the torsion divisors that Phi_e does NOT divide
+        original = milnor._vanishes_at_root
+        monkeypatch.setattr(milnor, "_vanishes_at_root", lambda d, phi: not original(d, phi))
+        with pytest.raises(Disagreement, match="gcd"):
+            spectrum_from_presentation(pres)
+
+    def test_dropped_torsion_divisor_disagrees(self, monkeypatch):
+        # route 1 loses the s^3 - 1 divisor, so b_1^2 = b_1^4 read 0 there
+        original = FreeChainComplex.homology
+
+        def dropped(cx, q):
+            h = original(cx, q)
+            if cx.ring == LaurentRing(QQ) and q == 1:
+                return Homology(h.free_rank, h.torsion[:-1])
+            return h
+
+        monkeypatch.setattr(FreeChainComplex, "homology", dropped)
+        with pytest.raises(Disagreement, match="gcd"):
+            spectrum_from_presentation(phi3_presentation())
 
     @pytest.mark.parametrize("n", (4, 6))
     def test_prime_n_plus_1_never_obstructed(self, rnd, n):
@@ -140,3 +191,74 @@ class TestGaloisClasses:
         for pres in presentations:
             rep = obstruction_report(spectrum_from_presentation(pres))
             assert rep["constant_tail"] and rep["verdict"] == "not_obstructed", pres.relators
+
+
+def reference_spectrum(pres):
+    """The spectrum by the all-t loop: b_1^t from its own presentation
+    complex over Q(zeta_(n+1)) with every meridian sent to zeta^t, for
+    every t = 1..n, and equal values required within each gcd class."""
+    n = pres.n
+    assert alexander_complex(pres, [QQ.one] * n, QQ).homology(1).free_rank == n
+    K = CyclotomicField(n + 1)
+    values = [n]
+    by_gcd = {}
+    for t in range(1, n + 1):
+        values.append(alexander_complex(pres, [K.zeta(t)] * n, K).homology(1).free_rank)
+        assert by_gcd.setdefault(gcd(t, n + 1), values[t]) == values[t]
+    return tuple(values)
+
+
+def zero_sum_word(rnd, n, length):
+    """A shuffled word whose exponent sums all vanish."""
+    letters = list(random_word(rnd, n, length).letters)
+    for i, s in enumerate(FreeWord(letters).exponent_sums(n)):
+        letters += [-(i + 1) if s > 0 else i + 1] * abs(s)
+    rnd.shuffle(letters)
+    return FreeWord(letters)
+
+
+def power_relator(rnd, n):
+    """(x_i x_j)^k (x_i^-1 x_j^-1)^k for random i != j and k = 1..4: its
+    Fox derivatives carry (s^2k - 1) / (s + 1), whose cyclotomic factors
+    vary the tail."""
+    i, j = rnd.sample(range(n), 2)
+    k = rnd.randint(1, 4)
+    xi, xj = FreeWord.generator(i), FreeWord.generator(j)
+    return FreeWord((xi * xj).letters * k + (xi.inverse() * xj.inverse()).letters * k)
+
+
+def random_marked_presentation(rnd, n):
+    rels = []
+    for _ in range(rnd.randint(0, n + 1)):
+        kind = rnd.randrange(3) if n >= 2 else 0
+        if kind == 0:
+            rels.append(zero_sum_word(rnd, n, 8))
+        elif kind == 1:
+            rels += conjugated_commutators(rnd, n, 1).relators
+        else:
+            rels.append(power_relator(rnd, n))
+    return GroupPresentation(n, rels, meridian_marked=True)
+
+
+class TestAgainstAllT:
+    def presentations(self):
+        rnd = random.Random(1414)
+        out = [random_marked_presentation(rnd, n) for _ in range(30) for n in range(1, 8)]
+        for n in range(0, 8):
+            out += [GroupPresentation.commutative(n), GroupPresentation(n, (), meridian_marked=True)]
+        out += [GroupPresentation(1, ["1", "aa-1"], meridian_marked=True), phi3_presentation()]
+        return out
+
+    def test_one_complex_matches_every_t(self):
+        presentations = self.presentations()
+        assert len(presentations) >= 200
+        varied = 0
+        for pres in presentations:
+            want = reference_spectrum(pres)
+            assert spectrum_from_presentation(pres).values == want, pres.relators
+            varied += len(set(want[1:])) > 1
+        assert varied >= 30
+
+    def test_phi3_rises_at_e_3_only(self):
+        assert spectrum_from_presentation(phi3_presentation()).values == (5, 0, 1, 0, 1, 0)
+        assert reference_spectrum(phi3_presentation()) == (5, 0, 1, 0, 1, 0)

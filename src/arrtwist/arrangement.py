@@ -341,10 +341,12 @@ class Arrangement:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text) if isinstance(text, str) else text
-        forms = [
-            [Fraction(x) if isinstance(x, str) else x for x in row]
-            for row in data["forms"]
-        ]
+        forms = data["forms"]
+        if not (isinstance(forms, list) and all(
+                isinstance(row, list) and all(isinstance(x, (int, float, Fraction, str)) for x in row)
+                for row in forms)):
+            raise ValueError(f"forms must be a list of coefficient lists, got {forms!r}")
+        forms = [[Fraction(x) if isinstance(x, str) else x for x in row] for row in forms]
         return cls(data["r"], forms, labels=data.get("labels"))
 
     def to_json(self):

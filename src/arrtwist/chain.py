@@ -10,11 +10,14 @@ torsion; over a field by Gaussian elimination (``linalg.rank``).  Two
 complexes over the same PID with equal rank sequences are isomorphic as
 chain complexes exactly when the Smith divisor chains of their boundaries
 match degree by degree, which is what :func:`decide_isomorphic` checks.
+:func:`extend_by_free` is the one assembly step of both the Koszul and the
+fiber-type tower complexes, applied once per free factor.
 """
 
 from __future__ import annotations
 
 import json
+from numbers import Real
 
 from .rings import Ring, MixedRings, UnsupportedRing, ZZ, ring_from_string
 from .linalg import Matrix, rank, smith_normal_form
@@ -51,11 +54,11 @@ class Homology:
 
 
 def _as_count(x, what):
-    """``x`` as an int, refusing a value that ``int`` would truncate (1.9)."""
-    n = int(x)
-    if n != x and not isinstance(x, str):
+    """``x`` as an int, refusing a value that ``int`` would truncate (1.9)
+    or that is no number at all (None, a list)."""
+    if not isinstance(x, (int, str)) and not (isinstance(x, Real) and int(x) == x):
         raise ValueError(f"{what} must be an integer, got {x!r}")
-    return n
+    return int(x)
 
 
 def _check_ranks(ranks, nbounds):
@@ -204,8 +207,62 @@ class FreeChainComplex:
         return cls(ring, ranks, bnds)
 
 
+def extend_by_free(ranks, boundaries, twisted, slots, block, top=None):
+    """One mapping-cone step (Cohen and Suciu 1998, J. Pure Appl. Algebra
+    126): the complex of F_d |x G from the complex D of G, given as block
+    ranks and raw boundaries in blocks of size ``block``.  ``twisted`` is
+    D with coefficients twisted by the F_d action (blocks of ``block * d``,
+    basis-major) and ``slots`` the d ``block x block`` slot maps.  Then
+    C_q = D_q (+) (D_(q-1))^d, the copies slot-major, with D's d_q on the
+    first summand, (-1)^(q-1) slot_k from the k-th copy into D_(q-1), and
+    the twisted d_(q-1) on the copies.  Returns block ranks and boundaries
+    up to degree ``top`` (all when None); the caller's one
+    :class:`FreeChainComplex` runs the d . d = 0 gate.
+    """
+    d = len(slots)
+    old_top = len(ranks) - 1
+    new_top = old_top + 1 if top is None else min(old_top + 1, top)
+
+    def sub(q):  # rank of D_q, zero outside D's degrees
+        return ranks[q] if 0 <= q <= old_top else 0
+
+    new_ranks = [sub(q) + d * sub(q - 1) for q in range(new_top + 1)]
+    new_bnds = []
+    for q in range(1, new_top + 1):
+        dq, dq1, dq2 = sub(q), sub(q - 1), sub(q - 2)
+        mat = Matrix.zero(slots[0].ring, new_ranks[q - 1] * block, new_ranks[q] * block)
+        if q <= old_top:
+            mat.paste(0, 0, boundaries[q - 1])
+        for k, slot in enumerate(slots):
+            for b in range(dq1):
+                mat.paste(b * block, (dq + k * dq1 + b) * block, slot, negate=q % 2 == 0)
+        if q >= 2:
+            copies = twisted[q - 2]
+            if d > 1:
+                copies = copies.submatrix(
+                    _slot_major(dq2, d, block), _slot_major(dq1, d, block))
+            mat.paste(dq1 * block, dq * block, copies)
+        new_bnds.append(mat)
+    return new_ranks, new_bnds
+
+
+def _slot_major(n, d, s):
+    """Indices of a (basis, slot)-ordered sum of n * d blocks of size s,
+    listed in (slot, basis) order."""
+    return [(a * d + k) * s + p for k in range(d) for a in range(n) for p in range(s)]
+
+
 def euler_characteristic(c: FreeChainComplex) -> int:
     return c.euler_characteristic()
+
+
+def _divisor_chain(c: FreeChainComplex, q):
+    """The formatted Smith divisor chain of d_q, read off the cached
+    elimination: a unit divisor (canonically 1) per rank not carried by
+    torsion, then the torsion divisors."""
+    rk, torsion = c._elimination(q)
+    ring = c.ring
+    return [ring.format(ring.one)] * (rk - len(torsion)) + [ring.format(d) for d in torsion]
 
 
 def decide_isomorphic(c1: FreeChainComplex, c2: FreeChainComplex):
@@ -214,7 +271,9 @@ def decide_isomorphic(c1: FreeChainComplex, c2: FreeChainComplex):
     Returns ``(verdict, report)``.  Equal degreewise ranks plus equal
     normalized Smith divisor chains of every boundary is equivalent to the
     existence of a degreewise isomorphism commuting with the differentials;
-    the report carries the chains as the witness either way.
+    the report carries the chains as the witness either way.  The chains
+    come from each complex's cached eliminations, so asking again runs no
+    further Smith form.
     """
     if c1.ring != c2.ring:
         raise MixedRings("complexes over different rings")
@@ -223,26 +282,14 @@ def decide_isomorphic(c1: FreeChainComplex, c2: FreeChainComplex):
         report["reason"] = f"rank sequences differ: {list(c1.ranks)} vs {list(c2.ranks)}"
         return False, report
     degrees = []
-    verdict = True
     for q in range(1, c1.top + 1):
-        da = smith_normal_form(c1.boundary(q)).divisors
-        db = smith_normal_form(c2.boundary(q)).divisors
-        equal = da == db
-        degrees.append(
-            {
-                "q": q,
-                "divisors_a": [c1.ring.format(d) for d in da],
-                "divisors_b": [c2.ring.format(d) for d in db],
-                "equal": equal,
-            }
-        )
-        if not equal:
-            verdict = False
+        da, db = _divisor_chain(c1, q), _divisor_chain(c2, q)
+        degrees.append({"q": q, "divisors_a": da, "divisors_b": db, "equal": da == db})
     report["degrees"] = degrees
-    if not verdict:
-        bad = [d["q"] for d in degrees if not d["equal"]]
+    bad = [d["q"] for d in degrees if not d["equal"]]
+    if bad:
         report["reason"] = f"divisor chains differ at d_{bad}"
-    return verdict, report
+    return not bad, report
 
 
 def complex_over_q(c: FreeChainComplex) -> FreeChainComplex:

@@ -64,6 +64,8 @@ class FreeWord:
         """Parse either compact one-letter syntax ('aba-1b-1') or
         space-separated named tokens ('x1 x2-1', with ``names`` giving the
         generator order)."""
+        if not isinstance(text, str):
+            raise ValueError(f"a word must be a string, got {text!r}")
         text = text.strip()
         if not text or text == "1":
             return cls()
@@ -288,9 +290,12 @@ class GroupPresentation:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text) if isinstance(text, str) else text
+        relators = data.get("relators", [])
+        if not isinstance(relators, list):
+            raise ValueError(f"relators must be a list of words, got {relators!r}")
         return cls(
             data["generators"],
-            data.get("relators", ()),
+            relators,
             meridian_marked=data.get("meridians", False),
             names=data.get("names"),
         )

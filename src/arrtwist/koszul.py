@@ -2,11 +2,13 @@
 and the twisted-homology/homotopy computations it supports for arrangements
 whose forms have no small dependencies.
 
-The complex has one basis slot per subset of the generators (colex order)
-scaled by the module rank; the boundary removes one generator at a time with
-alternating signs, multiplying the coefficient slot by (u^-1 - 1) for the
-removed generator's unit u.  With all units equal to 1 every boundary
-vanishes and the ranks are plain binomials.
+Z^n is the tower with exponents [1, ..., 1], so the complex is n
+mapping-cone steps (:func:`arrtwist.chain.extend_by_free`), one per
+generator, with slot (u^-1 - 1) for its unit u; the units commute, so each
+step's twisted copy is the complex so far.  The basis is the generator
+subsets in colex order, scaled by the module rank, and d_q removes the
+generator at position i with sign (-1)^i.  With all units equal to 1 every
+boundary vanishes and the ranks are plain binomials.
 
 For an essential arrangement whose minimal dependency size c exceeds 3, the
 homology of this complex computes the twisted homology of the complement in
@@ -18,11 +20,10 @@ degree can be cross-checked against an Euler-characteristic formula.
 from __future__ import annotations
 
 import json
-from itertools import combinations
-from math import comb, inf
+from math import inf
 
 from .arrangement import Arrangement, Character, GirthTooSmall, NotGenericPosition
-from .chain import FreeChainComplex, Homology
+from .chain import FreeChainComplex, Homology, extend_by_free
 # ``rank`` is no longer called here but stays importable as ``koszul.rank``:
 # the benchmark's tracer self-test (bench/test_bench.py) checks that binding.
 from .linalg import Matrix, rank  # noqa: F401
@@ -39,11 +40,6 @@ def require_agreement(checks):
     if not all(c["agree"] for c in checks):
         raise Disagreement(json.dumps(checks))
     return checks
-
-
-def colex_subsets(n, q):
-    """q-subsets of {0..n-1} in colexicographic order."""
-    return sorted(combinations(range(n), q), key=lambda s: tuple(reversed(s)))
 
 
 class UnitAssignment:
@@ -121,24 +117,14 @@ def build_koszul(u: UnitAssignment, top_degree=None) -> FreeChainComplex:
     [['t^-1 - 1']]
     """
     n, d = u.n, u.module_rank
-    ring = u.ring
     if top_degree is None:
         top_degree = n
     if not 0 <= top_degree <= n:
         raise ValueError(f"top degree must lie in 0..{n}")
-    ranks = [comb(n, q) * d for q in range(top_degree + 1)]
-    boundaries = []
-    for q in range(1, top_degree + 1):
-        rows_ix = {s: k for k, s in enumerate(colex_subsets(n, q - 1))}
-        cols = colex_subsets(n, q)
-        mat = Matrix.zero(ring, comb(n, q - 1) * d, comb(n, q) * d)
-        for col_block, s in enumerate(cols):
-            for r_pos, gen in enumerate(s):
-                rest = s[:r_pos] + s[r_pos + 1 :]
-                mat.paste(rows_ix[rest] * d, col_block * d, u.slot_block(gen),
-                          negate=r_pos % 2 == 1)
-        boundaries.append(mat)
-    return FreeChainComplex(ring, ranks, boundaries)
+    ranks, bnds = [1], []
+    for i in range(n):  # the units commute, so D twisted by u_i is D itself
+        ranks, bnds = extend_by_free(ranks, bnds, bnds, [u.slot_block(i)], d, top_degree)
+    return FreeChainComplex(u.ring, [r * d for r in ranks], bnds)
 
 
 class RangeHomology:

@@ -51,6 +51,8 @@ class MilnorSpectrum:
 
     def __init__(self, n, values):
         self.n = _as_count(n, "n")
+        if self.n < 0:
+            raise ValueError(f"n must be nonnegative, got {self.n}")
         self.values = tuple(_as_count(v, "a twisted Betti number") for v in values)
         if len(self.values) != self.n + 1:
             raise ValueError(f"need n+1 = {self.n + 1} values, got {len(self.values)}")

@@ -5,13 +5,10 @@ A tower F_(d_l) |x ... |x F_(d_2) is specified by the free ranks d_j of its
 levels (level 2 is the quotient end) and, for every generator y of a lower
 level i and every level j > i, the word alpha_y(x_k) by which y conjugates
 the k-th generator of level j.  The complex of the whole group is assembled
-level by level:
-
-    C_q  =  D_q  (+)  (D_(q-1))^d
-
-where D is the complex of the sub-tower.  On the new summand the boundary
-has two parts: a slot map (-1)^(deg v) (t^(-w(x_k)) - 1) v into D_(q-1), and
-the sub-tower boundary with every group element g replaced by its Jacobian
+level by level, one mapping-cone step of :func:`arrtwist.chain.extend_by_free`
+per level: C_q = D_q (+) (D_(q-1))^d for the complex D of the sub-tower.
+The step's slots are rho(x_k^-1) - 1, and its twisted copy is the sub-tower
+boundary with every group element g replaced by its Jacobian
 representation -- the matrix
 
     rho(g) = t^(w(g)) * Jbar(g)^T,    Jbar(g)_{kc} = nu(iota(d alpha_g(x_k) / d x_c)),
@@ -32,7 +29,7 @@ import json
 from itertools import combinations
 from math import comb, prod
 
-from .chain import FreeChainComplex, _as_count
+from .chain import FreeChainComplex, _as_count, extend_by_free
 from .fox import FreeWord, fox_derivative
 from .koszul import (
     Disagreement,
@@ -287,7 +284,6 @@ class _Evaluator:
         self.ring = LaurentRing(QQ)
         self._rho_cache = {}
         self._word_cache = {}
-        self._pieces_cache = {}
         self._inverse_cache = {}
 
     def size(self, chain):
@@ -357,46 +353,16 @@ class _Evaluator:
 
     def pieces(self, j, chain):
         """(block ranks, scalar boundaries) of the level-<=j sub-tower with
-        coefficients twisted through ``chain``; block size = size(chain)."""
+        coefficients twisted through ``chain``; block size = size(chain):
+        one ``extend_by_free`` step with slots rho(x_k^-1) - 1, twisting
+        through (j,) + chain.  Each (j, chain) is reached once."""
         if j == 1:
             return [1], []
-        key = (j, chain)
-        if key in self._pieces_cache:
-            return self._pieces_cache[key]
-        s = self.size(chain)
         d_ranks, d_bnds = self.pieces(j - 1, chain)
         _, t_bnds = self.pieces(j - 1, (j,) + chain)
-        d = self.tw.d(j)
-        old_top = len(d_ranks) - 1
-
-        def sub(q):  # rank of D_q, zero outside the sub-tower's degrees
-            return d_ranks[q] if 0 <= q <= old_top else 0
-
-        ranks = [sub(q) + d * sub(q - 1) for q in range(old_top + 2)]
-        eye = Matrix.identity(self.ring, s)
-        slots = [self.rho_letter((j, k), -1, chain) - eye for k in range(d)]
-        bnds = []
-        for q in range(1, old_top + 2):
-            dq, dq1, dq2 = sub(q), sub(q - 1), sub(q - 2)
-            mat = Matrix.zero(self.ring, ranks[q - 1] * s, ranks[q] * s)
-            if q <= old_top:  # sub-tower boundary on the first summand
-                mat.paste(0, 0, d_bnds[q - 1])
-            for k, slot in enumerate(slots):  # slot maps into the first summand
-                for b in range(dq1):
-                    mat.paste(b * s, (dq + k * dq1 + b) * s, slot, negate=q % 2 == 0)
-            if q >= 2:  # twisted sub-boundary, reordered from (basis, slot) to (slot, basis)
-                perm = t_bnds[q - 2].submatrix(
-                    _slot_major(dq2, d, s), _slot_major(dq1, d, s))
-                mat.paste(dq1 * s, dq * s, perm)
-            bnds.append(mat)
-        self._pieces_cache[key] = ranks, bnds
-        return ranks, bnds
-
-
-def _slot_major(n, d, s):
-    """Indices of a (basis, slot)-ordered sum of n * d blocks of size s,
-    listed in (slot, basis) order."""
-    return [(a * d + k) * s + p for k in range(d) for a in range(n) for p in range(s)]
+        eye = Matrix.identity(self.ring, self.size(chain))
+        slots = [self.rho_letter((j, k), -1, chain) - eye for k in range(self.tw.d(j))]
+        return extend_by_free(d_ranks, d_bnds, t_bnds, slots, self.size(chain))
 
 
 def jacobian_rep(tw: TowerSpec, level, element, ch: TowerCharacter) -> Matrix:
@@ -433,7 +399,7 @@ def build_tower_complex(tw: TowerSpec, ch: TowerCharacter) -> FreeChainComplex:
     ranks, bnds = ev.pieces(tw.top_level(), ())
     try:
         return FreeChainComplex(ev.ring, ranks, bnds)
-    except ValueError as e:  # pragma: no cover - gate for malformed data
+    except ValueError as e:  # backstop: check_tower should refuse first
         raise TowerInvalid(f"assembled boundaries are not a complex: {e}") from e
 
 

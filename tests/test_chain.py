@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from arrtwist import chain
 from arrtwist.chain import (
     DegreeOutOfRange,
     FreeChainComplex,
@@ -10,7 +12,8 @@ from arrtwist.chain import (
     decide_isomorphic,
     euler_characteristic,
 )
-from arrtwist.linalg import Matrix
+from arrtwist.koszul import UnitAssignment, build_koszul
+from arrtwist.linalg import Matrix, smith_normal_form
 from arrtwist.rings import LaurentRing, QQ, ZZ
 
 
@@ -164,6 +167,63 @@ class TestDecideIsomorphic:
             )
             ok, report = decide_isomorphic(c, moved)
             assert ok, report
+
+
+def fresh_smith_report(c1, c2):
+    """The reference for decide_isomorphic's report: one fresh Smith form
+    per boundary, every divisor listed."""
+    report = {"ring": c1.ring.name, "ranks_equal": list(c1.ranks) == list(c2.ranks)}
+    if not report["ranks_equal"]:
+        report["reason"] = f"rank sequences differ: {list(c1.ranks)} vs {list(c2.ranks)}"
+        return False, report
+    degrees = []
+    for q in range(1, c1.top + 1):
+        da = smith_normal_form(c1.boundary(q)).divisors
+        db = smith_normal_form(c2.boundary(q)).divisors
+        degrees.append({"q": q, "divisors_a": [c1.ring.format(d) for d in da],
+                        "divisors_b": [c2.ring.format(d) for d in db], "equal": da == db})
+    report["degrees"] = degrees
+    bad = [d["q"] for d in degrees if not d["equal"]]
+    if bad:
+        report["reason"] = f"divisor chains differ at d_{bad}"
+    return not bad, report
+
+
+class TestDecideIsomorphicCached:
+    L = LaurentRing(QQ)
+
+    def pairs(self):
+        L = self.L
+        diag2 = FreeChainComplex.from_json({"ring": "Z", "ranks": [1, 1], "boundaries": [["2"]]})
+        diag4 = FreeChainComplex.from_json({"ring": "Z", "ranks": [1, 1], "boundaries": [["4"]]})
+
+        def laurent(*w):
+            return build_koszul(UnitAssignment(L, [L.t(x) for x in w]))
+
+        def field(*units):
+            return build_koszul(UnitAssignment(QQ, units))
+
+        return [
+            (diag2, diag4), (diag2, diag2), (diag4, diag2),
+            (laurent(1, 2, 0), laurent(2, 1, 0)), (laurent(2, 4, 6), laurent(1, 3, 2)),
+            (laurent(1, 1), laurent(1, 1, 1)),
+            (field(1, 1, 1), field(2, 1, 1)), (field(3, Fraction(1, 2)), field(3, 5)),
+        ]
+
+    def test_report_matches_fresh_smith_forms(self):
+        for a, b in self.pairs():
+            want = fresh_smith_report(a, b)
+            assert json.dumps(decide_isomorphic(a, b)) == json.dumps(want)
+
+    def test_second_call_runs_no_smith_form(self, monkeypatch):
+        calls = []
+        real = chain.smith_normal_form
+        monkeypatch.setattr(chain, "smith_normal_form", lambda m: calls.append(m) or real(m))
+        a, b = self.pairs()[4]
+        first = decide_isomorphic(a, b)
+        assert calls
+        calls.clear()
+        assert decide_isomorphic(a, b) == first and not calls
 
 
 class TestJson:

@@ -87,6 +87,24 @@ class TestMilnorCommands:
         assert rep["error"] == "ValueError"
         assert "--spectrum" in rep["reason"] and "--presentation" in rep["reason"]
 
+    def test_empty_spectrum_is_input_error(self, capsys):
+        # no values means n = -1, which used to pass the length check
+        for argv in (["--spectrum", ","], ["--n", "-1", "--spectrum", " "]):
+            code, out = run(capsys, "milnor", "obstruct", *argv)
+            assert code == 1
+            rep = json.loads(out)
+            assert rep["error"] == "ValueError"
+            assert "n must be nonnegative" in rep["reason"]
+
+    def test_non_string_relator_is_input_error(self, capsys, tmp_path):
+        # a string of relators used to be read letter by letter
+        for relators, reason in (([5], "a word must be a string, got 5"),
+                                 ("ab", "relators must be a list of words, got 'ab'")):
+            pres = write(tmp_path, "p.json", {"generators": 2, "relators": relators})
+            code, out = run(capsys, "milnor", "spectrum", "--presentation", pres)
+            assert code == 1
+            assert json.loads(out) == {"error": "ValueError", "reason": reason}
+
 
 class TestArrCommands:
     def test_betti(self, capsys, tmp_path):
@@ -119,6 +137,29 @@ class TestArrCommands:
         _, out1 = run(capsys, "arr", "lattice", "--arrangement", arr)
         _, out2 = run(capsys, "arr", "lattice", "--arrangement", arr)
         assert out1 == out2
+
+    def test_forms_not_a_list_is_input_error(self, capsys, tmp_path):
+        arr = write(tmp_path, "a.json", {"r": 2, "forms": 5})
+        code, out = run(capsys, "arr", "girth", "--arrangement", arr)
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "forms must be a list of coefficient lists" in rep["reason"]
+
+    def test_non_numeric_counts_are_input_errors(self, capsys, tmp_path):
+        # int() raised TypeError on None and on lists
+        cases = [
+            (("arr", "girth", "--arrangement"), {"r": None, "forms": [[1, 0], [0, 1]]},
+             "r must be an integer, got None"),
+            (("milnor", "spectrum", "--presentation"), {"generators": [2], "relators": []},
+             "the generator count must be an integer, got [2]"),
+            (("homology", "tower", "--tower"), {"exponents": [[1]]},
+             "an exponent must be an integer, got [1]"),
+        ]
+        for argv, payload, reason in cases:
+            code, out = run(capsys, *argv, write(tmp_path, "in.json", payload))
+            assert code == 1
+            assert json.loads(out) == {"error": "ValueError", "reason": reason}
 
 
 class TestParser:

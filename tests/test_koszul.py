@@ -1,19 +1,22 @@
+import json
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, inf
 
 import pytest
 
 from arrtwist.arrangement import Arrangement, Character, GirthTooSmall, NotGenericPosition
+from arrtwist.chain import FreeChainComplex
 from arrtwist.koszul import (
     UnitAssignment,
     build_koszul,
-    colex_subsets,
     complete_homology_generic_position,
     generic_range_homology,
     pi_p_presentation_boolean,
 )
 from arrtwist.linalg import Matrix
-from arrtwist.rings import CyclotomicField, LaurentRing, QQ
+from arrtwist.rings import CyclotomicField, LaurentRing, QQ, ZZ
 
 
 L = LaurentRing(QQ)
@@ -41,9 +44,6 @@ class TestBuild:
         s = z.inverse() - 1
         assert c.boundary(1).rows == [[s, s]]
         assert c.boundary(2).rows == [[-s], [s]]
-
-    def test_colex_order(self):
-        assert colex_subsets(4, 2) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
     def test_boundary_square_random_units(self, rnd):
         # d.d = 0 is checked at construction; exercise several shapes and rings
@@ -88,6 +88,63 @@ class TestBuild:
         m2 = Matrix(QQ, [[1, 1], [0, 1]])
         with pytest.raises(ValueError):
             UnitAssignment(QQ, [m1, m2])
+
+
+def subset_loop_koszul(u, top_degree=None):
+    """The reference assembly: one block per q-subset of the generators in
+    colex order, d_q removing the generator at position i with sign (-1)^i
+    and slot (u^-1 - 1).  build_koszul must give the same complex."""
+    n, d = u.n, u.module_rank
+    top_degree = n if top_degree is None else top_degree
+
+    def colex(q):
+        return sorted(combinations(range(n), q), key=lambda s: tuple(reversed(s)))
+
+    boundaries = []
+    for q in range(1, top_degree + 1):
+        rows_ix = {s: k for k, s in enumerate(colex(q - 1))}
+        mat = Matrix.zero(u.ring, comb(n, q - 1) * d, comb(n, q) * d)
+        for col_block, s in enumerate(colex(q)):
+            for pos, gen in enumerate(s):
+                rest = s[:pos] + s[pos + 1 :]
+                mat.paste(rows_ix[rest] * d, col_block * d, u.slot_block(gen),
+                          negate=pos % 2 == 1)
+        boundaries.append(mat)
+    ranks = [comb(n, q) * d for q in range(top_degree + 1)]
+    return FreeChainComplex(u.ring, ranks, boundaries)
+
+
+class TestAgainstSubsetLoop:
+    """build_koszul, a fold of mapping-cone steps, against the subset loop."""
+
+    K = CyclotomicField(5)
+
+    def unit_kinds(self, rnd, n):
+        K = self.K
+        m = Matrix(K, [[K.zeta(), K.one], [K.zero, K.zeta(2)]])
+        powers = [Matrix.identity(K, 2)]
+        for _ in range(4):
+            powers.append(powers[-1] * m)
+        return {
+            "laurent": UnitAssignment(L, [L.t(rnd.randint(-3, 3)) for _ in range(n)]),
+            "Z": UnitAssignment(ZZ, [rnd.choice([1, -1]) for _ in range(n)]),
+            "Q": UnitAssignment(QQ, [Fraction(rnd.choice([-3, -1, 2, 5]), rnd.randint(1, 4))
+                                     for _ in range(n)]),
+            "cyclotomic": UnitAssignment(K, [K.zeta(rnd.randrange(5)) for _ in range(n)]),
+            # powers of one matrix commute: a rank-2 local system
+            "matrix": UnitAssignment(K, [powers[rnd.randrange(1, 5)] for _ in range(n)]),
+        }
+
+    def test_every_degree_and_ring(self):
+        rnd = random.Random(8)
+        for n in range(9):
+            for kind, u in self.unit_kinds(rnd, n).items():
+                ref = json.loads(subset_loop_koszul(u).to_json())
+                for top in range(n + 1):
+                    # the reference truncated at ``top``, in to_json's wire format
+                    want = json.dumps(dict(ref, ranks=ref["ranks"][: top + 1],
+                                           boundaries=ref["boundaries"][:top]))
+                    assert build_koszul(u, top).to_json() == want, (kind, n, top)
 
 
 class TestScalingFactorization:

@@ -1,8 +1,13 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from arrtwist import tower
 from arrtwist.chain import decide_isomorphic
 from arrtwist.fox import FreeWord, GroupPresentation, alexander_complex
 from arrtwist.koszul import Disagreement, UnitAssignment, build_koszul
@@ -32,6 +37,31 @@ def f2_semi_f1():
         [1, 2],
         monodromy={(3, (2, 0)): ["x1", "x1 x2 x1-1"]},
         names={2: ["y1"], 3: ["x1", "x2"]},
+    )
+
+
+def commuting_three_level_tower():
+    """y1 and z1 act on level 4 by powers of one automorphism."""
+    return TowerSpec(
+        [1, 1, 2],
+        monodromy={
+            (4, (2, 0)): ["x1", "x1 x2 x1-1"],
+            (4, (3, 0)): ["x1", "x1 x1 x2 x1-1 x1-1"],
+        },
+        names={2: ["y1"], 3: ["z1"], 4: ["x1", "x2"]},
+    )
+
+
+def incompatible_relator_tower():
+    # y and z both act on level 4, but their (nontrivial) actions do not
+    # commute while the trivial level-3 action says they must
+    return TowerSpec(
+        [1, 1, 2],
+        monodromy={
+            (4, (2, 0)): ["x1", "x1 x2 x1-1"],
+            (4, (3, 0)): ["x2-1 x1 x2", "x2"],
+        },
+        names={2: ["y1"], 3: ["z1"], 4: ["x1", "x2"]},
     )
 
 
@@ -67,17 +97,7 @@ class TestCheckTower:
         assert not rep["valid"] and rep["homology_violations"]
 
     def test_incompatible_relator_detected(self):
-        # y and z both act on level 4, but their (nontrivial) actions do not
-        # commute while the trivial level-3 action says they must
-        tw = TowerSpec(
-            [1, 1, 2],
-            monodromy={
-                (4, (2, 0)): ["x1", "x1 x2 x1-1"],
-                (4, (3, 0)): ["x2-1 x1 x2", "x2"],
-            },
-            names={2: ["y1"], 3: ["z1"], 4: ["x1", "x2"]},
-        )
-        rep = check_tower(tw)
+        rep = check_tower(incompatible_relator_tower())
         assert not rep["valid"] and rep["relator_violations"]
 
 
@@ -155,14 +175,7 @@ class TestBuildComplex:
             assert cx.homology(q) == ac.homology(q)
 
     def test_poincare_ranks_and_one_specialization(self):
-        tw = TowerSpec(
-            [1, 1, 2],
-            monodromy={
-                (4, (2, 0)): ["x1", "x1 x2 x1-1"],
-                (4, (3, 0)): ["x1", "x1 x1 x2 x1-1 x1-1"],
-            },
-            names={2: ["y1"], 3: ["z1"], 4: ["x1", "x2"]},
-        )
+        tw = commuting_three_level_tower()
         ch = TowerCharacter.from_lists(tw, [[1], [2], [3, 4]])
         cx = build_tower_complex(tw, ch)
         assert list(cx.ranks) == tw.poincare_coefficients() == [1, 4, 5, 2]
@@ -200,6 +213,42 @@ class TestBuildComplex:
         assert seen and len(seen) == len(set(seen))
         assert list(cx.ranks) == tw.poincare_coefficients() == [1, 6, 12, 8]
         assert boundaries_vanish_at_one(cx)
+
+
+class TestAssemblyPinned:
+    """SHA-256 digests of ``build_tower_complex(...).to_json()``, recorded
+    from the assembly that placed every block inside the tower evaluator,
+    before the level step moved to ``chain.extend_by_free``."""
+
+    DIGESTS = json.loads((Path(__file__).parent / "tower_digests.json").read_text())
+
+    @staticmethod
+    def cases():
+        f2, three = f2_semi_f1(), commuting_three_level_tower()
+        boolean = TowerSpec([1, 1, 1, 1])
+        yield "f2_semi_f1 3;1,2", f2, TowerCharacter.from_lists(f2, [[3], [1, 2]])
+        yield "f2_semi_f1 1;1,1", f2, TowerCharacter.from_lists(f2, [[1], [1, 1]])
+        yield "three_level 1;2;3,4", three, TowerCharacter.from_lists(three, [[1], [2], [3, 4]])
+        yield "boolean_4 1;1;1;1", boolean, TowerCharacter.from_lists(boolean, [[1]] * 4)
+        for seed in range(120):
+            rnd = random.Random(seed)
+            tw = random_tower(rnd, max_levels=4, max_d=3)
+            yield f"seed {seed}", tw, random_tower_character(rnd, tw)
+
+    def test_digests(self):
+        seen = {
+            name: hashlib.sha256(build_tower_complex(tw, ch).to_json().encode()).hexdigest()
+            for name, tw, ch in self.cases()
+        }
+        assert seen == self.DIGESTS
+
+    def test_dd_gate_backs_up_check_tower(self, monkeypatch):
+        # with check_tower fooled, the one d.d = 0 gate still refuses
+        monkeypatch.setattr(tower, "check_tower", lambda tw: {"valid": True})
+        tw = incompatible_relator_tower()
+        ch = TowerCharacter.from_lists(tw, [[1], [2], [3, 4]])
+        with pytest.raises(TowerInvalid, match="not a complex"):
+            build_tower_complex(tw, ch)
 
 
 class TestTor:

@@ -24,6 +24,7 @@ from .arrangement import (
     Flat,
     GirthTooSmall,
     InvalidCharacter,
+    LatticeTooLarge,
     NotEssential,
     NotGenericPosition,
 )

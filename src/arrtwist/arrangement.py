@@ -11,6 +11,12 @@ codimension < r.
 `central_flats` is the one source of matroid data: girth, essentiality,
 dense edges and Betti numbers are read off the flats and their Moebius
 values; `closure` and `_rank_of` rank index sets as the reference route.
+One breadth-first pass builds both.  Each flat carries the primitive
+integer residuals of its outside forms, equal residuals name one cover, and
+a cover's residuals are its parent's after one fraction-free step each.
+The top level is free: a flat of codim r - 1 is covered only by the set of
+all forms.  Moebius values come in the same pass, by Weisner's theorem.
+The lattice is refused (`LatticeTooLarge`) once it passes `MAX_FLATS`.
 
 Betti numbers of the projective complement follow the decone convention:
 Whitney sums of Moebius values over the central flats whose subspace is not
@@ -21,11 +27,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import inf
 
 from .chain import _as_count
 from .linalg import Matrix, rank
-from .rings import ZZ, Refusal
+from .rings import ZZ, Refusal, _direction, _primitive
 
 
 class NotEssential(Refusal):
@@ -42,6 +48,16 @@ class GirthTooSmall(Refusal):
 
 class NotGenericPosition(Refusal):
     pass
+
+
+class LatticeTooLarge(Refusal):
+    """The intersection lattice has more than ``MAX_FLATS`` flats."""
+
+
+# The lattice budget.  Braid A_7 has 4140 flats and generic (6, 12) 1587;
+# braid A_8 has 21 147, and the beta scan of ``dense_edges`` is quadratic
+# in the flat count, so a larger lattice is refused rather than left to run.
+MAX_FLATS = 10_000
 
 
 class Flat:
@@ -105,13 +121,31 @@ class BettiData:
         return f"BettiData(betti={list(self.betti)}, euler={self.euler})"
 
 
-def _primitive(ints):
-    """The primitive integer vector with a positive leading entry on the
-    line of a nonzero integer one, as a tuple."""
-    g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints)
+def _insert(flats, mu, flat, codim):
+    """Record a newly found flat, refusing once the budget is passed."""
+    flats[flat] = codim
+    mu[flat] = 0
+    if len(flats) > MAX_FLATS:
+        raise LatticeTooLarge(
+            f"the intersection lattice has more than {MAX_FLATS} flats"
+        )
+
+
+def _reduce(residuals, residual, cover):
+    """The residuals of the cover's outside forms: each parent residual
+    reduced by one fraction-free step at the leading entry of the cover's
+    own residual, made primitive again."""
+    p = next(j for j, x in enumerate(residual) if x)
+    head = residual[p]
+    out = []
+    for i, v in residuals:
+        if i in cover:
+            continue
+        vp = v[p]
+        if vp:
+            v = _primitive([head * x - vp * y for x, y in zip(v, residual)])
+        out.append((i, v))
+    return out
 
 
 class Arrangement:
@@ -127,7 +161,7 @@ class Arrangement:
     def __init__(self, r, forms, labels=None):
         self.r = _as_count(r, "r")
         self._rank_cache = {}
-        self._flats = None
+        self._flats = self._mu = None
         self.forms = []
         for f in forms:
             vec = tuple(Fraction(x) for x in f)
@@ -138,10 +172,7 @@ class Arrangement:
             self.forms.append(vec)
         # The lattice works over Z: scaling a form by a nonzero rational
         # changes no flat, and integer vectors avoid Fraction arithmetic.
-        self._int_forms = []
-        for vec in self.forms:
-            scale = lcm(*(x.denominator for x in vec))
-            self._int_forms.append(_primitive([int(x * scale) for x in vec]))
+        self._int_forms = [_direction(vec) for vec in self.forms]
         # proportional forms have equal primitive vectors; name the first pair
         first, clashes = {}, []
         for j, v in enumerate(self._int_forms):
@@ -190,40 +221,60 @@ class Arrangement:
 
     def central_flats(self):
         """All flats of the cone (closed index sets, the empty one included),
-        as a dict {frozenset: codim}.
+        as a dict {frozenset: codim}, in breadth-first discovery order.
 
-        Breadth first from the empty flat, each flat carrying an integer
-        echelon basis of its span as (pivot column, vector) pairs; a cover's
-        basis is its parent's plus one residual.  Reducing a form modulo the
-        basis, fraction-free and in basis order, is the linear projection
-        along the span up to a nonzero scale fixed by the basis: each vector
-        is zero at every earlier pivot, so no step undoes an earlier one.
-        Made primitive with a positive leading entry, two outside forms'
-        residuals are equal exactly when the forms span the same cover, so
-        a flat's covers are the groups of equal residuals, found in one pass
-        over the forms."""
+        Each frontier flat carries the residuals of its outside forms, in
+        index order: the form projected along the flat's span, fraction-free
+        and made primitive with a positive leading entry.  Two outside forms
+        have equal residuals exactly when they span the same cover, so a
+        flat's covers are the groups of equal residuals, found in one pass.
+        A cover's residuals are built once, when it is first found: each of
+        its parent's is reduced by one fraction-free step against the
+        cover's own residual (at that residual's leading entry) and made
+        primitive again; the composite is again a projection along the
+        cover's span, up to scale.  A residual that is zero at that entry is
+        already reduced.  The top level is free: a flat of codim r - 1 with
+        an outside form is covered only by the set of all forms, at codim
+        r, so no residual is built at codim r - 1.
+
+        The Moebius values mu(0, S) come in the same pass, by Weisner's
+        theorem with the atom min S: mu(0, S) = -sum mu(0, T) over the
+        covers T of S with min S not in T.  The search meets each cover
+        relation once, as one residual group of T, and finishes every T of
+        a level before any S of the next one is read.
+
+        Raises ``LatticeTooLarge`` as soon as the count passes
+        ``MAX_FLATS``."""
         if self._flats is None:
-            flats = {frozenset(): 0}
-            frontier = [(frozenset(), ())]
-            while frontier:
+            m, top_codim = len(self._int_forms), self.r - 1
+            flats, mu = {frozenset(): 0}, {frozenset(): 1}
+            frontier = [(frozenset(), list(enumerate(self._int_forms)))]
+            codim = 0
+            while frontier and codim < top_codim:
                 nxt = []
-                for flat, basis in frontier:
-                    covers = {}  # residual -> its forms, by first index
-                    for i, v in enumerate(self._int_forms):
-                        if i in flat:
-                            continue
-                        for p, b in basis:
-                            if v[p]:
-                                v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
-                        covers.setdefault(_primitive(v), []).append(i)
+                for flat, residuals in frontier:
+                    covers = {}  # residual -> its forms, in index order
+                    for i, v in residuals:
+                        covers.setdefault(v, []).append(i)
+                    low, mu_flat = min(flat, default=m), mu[flat]
                     for residual, members in covers.items():
                         new = flat.union(members)
                         if new not in flats:
-                            flats[new] = len(basis) + 1
-                            pivot = next(j for j, x in enumerate(residual) if x)
-                            nxt.append((new, basis + ((pivot, residual),)))
+                            _insert(flats, mu, new, codim + 1)
+                            nxt.append((new, _reduce(residuals, residual, new)
+                                        if codim + 1 < top_codim else None))
+                        if members[0] < low:  # min new is not in flat
+                            mu[new] -= mu_flat
                 frontier = nxt
-            self._flats = flats
+                codim += 1
+            top = frozenset(range(m))
+            for flat, _ in frontier:  # codim r - 1, when the loop got there
+                if len(flat) < m:
+                    if top not in flats:
+                        _insert(flats, mu, top, self.r)
+                    if 0 not in flat:  # min top = 0
+                        mu[top] -= mu[flat]
+            self._flats, self._mu = flats, mu
         return self._flats
 
     def intersection_lattice(self):
@@ -285,14 +336,11 @@ class Arrangement:
         return (not violators), violators
 
     def moebius(self):
-        """Moebius values mu(0, S) on the central lattice."""
-        flats = self.central_flats()
-        order = sorted(flats, key=lambda s: (flats[s], sorted(s)))
-        mu = {}
-        for s in order:
-            below = sum(mu[t] for t in mu if t < s)
-            mu[s] = 1 if not s else -below
-        return mu
+        """Moebius values mu(0, S) on the central lattice, as a dict in the
+        order of ``central_flats``; computed with the flats, by Weisner's
+        theorem."""
+        self.central_flats()
+        return self._mu
 
     def betti_data(self) -> BettiData:
         """Betti numbers b_0..b_(r-1) of the projective complement."""

@@ -290,17 +290,24 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """A monomial ``c * zeta^k`` (a single nonzero coefficient, as for
-        every root of unity ``zeta^k`` with ``k < phi(d)``) has inverse
-        ``c^-1 * zeta^(d - k)``; any other element is inverted through the
-        norm (:meth:`_norm_inverse`)."""
-        support = [k for k, c in enumerate(self.coeffs) if c]
-        if not support:
+        """A rational multiple ``c * zeta^k`` of a root of unity has inverse
+        ``c^-1 * zeta^(d - k)``.  It is recognised by the primitive direction
+        of its coefficient vector, which only ``zeta^k`` and ``-zeta^k``
+        share (``zeta^j = q * zeta^k`` with ``q`` rational forces
+        ``q = +-1``), and the answer is read off the power-basis vectors of
+        :func:`_roots_of_unity`, also for ``k >= phi(d)``, where ``zeta^k``
+        is not a monomial.  Any other element is inverted through the norm
+        (:meth:`_norm_inverse`)."""
+        coeffs = self.coeffs
+        lead = next((j for j, c in enumerate(coeffs) if c), None)
+        if lead is None:
             raise ZeroDivisionError(f"0 has no inverse in Q(zeta_{self.d})")
-        if len(support) > 1:
+        powers, directions = _roots_of_unity(self.d)
+        k = directions.get(_direction(coeffs))
+        if k is None:
             return self._norm_inverse()
-        (k,) = support
-        return CyclotomicElement(self.d, [0] * (-k % self.d) + [1 / Fraction(self.coeffs[k])])
+        scale = Fraction(powers[k][lead]) / coeffs[lead]  # c^-1
+        return CyclotomicElement(self.d, [scale * y for y in powers[-k % self.d]])
 
     def _norm_inverse(self):
         """Inverse of a nonzero element through the norm.
@@ -351,6 +358,47 @@ class CyclotomicElement:
         return format_poly_terms(
             ((k, c) for k, c in enumerate(self.coeffs) if c), f"z{self.d}", QQ
         )
+
+
+def _primitive(ints):
+    """The primitive integer vector with a positive leading entry on the
+    line of a nonzero integer one, as a tuple."""
+    g = gcd(*ints)
+    for x in ints:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple([x // g for x in ints])
+
+
+def _direction(coeffs):
+    """The primitive integer vector with a positive leading entry on the
+    line of a nonzero rational one: ``_primitive`` after clearing the
+    denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+@lru_cache(maxsize=None)
+def _roots_of_unity(d):
+    """The power-basis vectors of ``zeta_d^0 .. zeta_d^(d-1)``, and a map from
+    each one's primitive direction to its exponent (``zeta^k`` and
+    ``-zeta^k`` share one; the map keeps the smaller exponent).  Each power
+    is the last one times ``zeta``: a shift, less the monic ``Phi_d`` times
+    the coefficient shifted out."""
+    modulus = cyclotomic_poly(d)
+    v = (1,) + (0,) * (len(modulus) - 2)
+    powers = []
+    for _ in range(d):
+        powers.append(v)
+        top, v = v[-1], (0,) + v[:-1]
+        if top:
+            v = tuple([x - top * c for x, c in zip(v, modulus)])
+    directions = {}
+    for k, v in enumerate(powers):
+        directions.setdefault(_direction(v), k)
+    return powers, directions
 
 
 class LaurentPoly:

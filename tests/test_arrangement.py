@@ -1,15 +1,17 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb, inf
 
 import pytest
 
-from arrtwist import arrangement
+from arrtwist import arrangement, cli
 from arrtwist.arrangement import (
     Arrangement,
     Character,
     GirthTooSmall,
     InvalidCharacter,
+    LatticeTooLarge,
     NotEssential,
 )
 
@@ -261,7 +263,7 @@ class TestJson:
 
 def closure_flats(arr):
     """Every flat by breadth-first search over closures, one closure per
-    (flat, form): the oracle for the echelon-projection search."""
+    (flat, form): the oracle for the residual search."""
     flats = {frozenset(): 0}
     frontier = [frozenset()]
     while frontier:
@@ -388,3 +390,122 @@ class TestReadOffTheLattice:
         assert arr.dense_edges()
         arr.is_nonresonant(weights)
         assert arr.betti_data().betti[0] == 1
+
+
+def basis_flats(arr):
+    """The echelon-basis search that ``central_flats`` ran before it carried
+    residuals, copied unchanged: each flat carries an integer echelon basis
+    as (pivot, vector) pairs, every outside form is reduced modulo it, and a
+    cover's basis is its parent's plus one residual.  The reference for the
+    flats and their discovery order."""
+    flats = {frozenset(): 0}
+    frontier = [(frozenset(), ())]
+    while frontier:
+        nxt = []
+        for flat, basis in frontier:
+            covers = {}  # residual -> its forms, by first index
+            for i, v in enumerate(arr._int_forms):
+                if i in flat:
+                    continue
+                for p, b in basis:
+                    if v[p]:
+                        v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
+                covers.setdefault(arrangement._primitive(v), []).append(i)
+            for residual, members in covers.items():
+                new = flat.union(members)
+                if new not in flats:
+                    flats[new] = len(basis) + 1
+                    pivot = next(j for j, x in enumerate(residual) if x)
+                    nxt.append((new, basis + ((pivot, residual),)))
+        frontier = nxt
+    return flats
+
+
+def quadratic_moebius(flats):
+    """Moebius values by the defining recursion, copied unchanged: mu(0, S)
+    is minus the sum over every flat strictly below S."""
+    order = sorted(flats, key=lambda s: (flats[s], sorted(s)))
+    mu = {}
+    for s in order:
+        below = sum(mu[t] for t in mu if t < s)
+        mu[s] = 1 if not s else -below
+    return mu
+
+
+def assert_matches_basis_search(forms, r):
+    arr = Arrangement(r, forms)
+    want = basis_flats(Arrangement(r, forms))
+    got = arr.central_flats()
+    assert list(got.items()) == list(want.items()), forms  # order included
+    assert arr.moebius() == quadratic_moebius(want), forms
+    return arr
+
+
+class TestResidualSearch:
+    def test_random_arrangements_match_the_basis_search(self, rnd):
+        seen = set()
+        checked = 0
+        while checked < 320:
+            r = rnd.randint(1, 5)
+            count = rnd.randint(1, 9 if r < 5 else 8)
+            span = r - 1 if r > 1 and rnd.random() < 0.3 else r  # last coordinate 0: not essential
+            forms = [
+                [Fraction(rnd.randint(-2, 2), rnd.choice((1, 1, 2, 3))) for _ in range(span)]
+                + [0] * (r - span)
+                for _ in range(count)
+            ]
+            if count > 2 and rnd.random() < 0.3:  # a dependent triple: girth 3
+                forms[-1] = [x + y for x, y in zip(forms[0], forms[1])]
+            try:
+                Arrangement(r, forms)
+            except ValueError:
+                continue  # a zero or repeated hyperplane
+            checked += 1
+            arr = assert_matches_basis_search(forms, r)
+            seen.add((r, arr.is_essential(), arr.girth() == 3))
+        for r in range(2, 6):  # every rank, degenerate and non-essential
+            assert {(r, True, True), (r, True, False)} <= seen, r
+            assert (r, False, r > 2) in seen, r  # r = 2: a single form
+        assert (1, True, False) in seen
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_braid_matches_the_basis_search(self, k):
+        arr = assert_matches_basis_search(braid(k).forms, k)
+        assert len(arr.central_flats()) == {2: 5, 3: 15, 4: 52, 5: 203, 6: 877, 7: 4140}[k]
+
+    @pytest.mark.parametrize(
+        "arr, bound", [(Arrangement.generic(4, 10), 460), (braid(4), 290)], ids=["generic410", "A4"]
+    )
+    def test_one_reduction_per_outside_form_below_the_top(self, arr, bound, monkeypatch):
+        # the echelon-basis search made 1300 and 370 calls here: it reduced
+        # every outside form of every flat, codim r - 1 included, from scratch
+        calls = []
+        primitive = arrangement._primitive
+
+        def counting(ints):
+            calls.append(1)
+            return primitive(ints)
+
+        arr = Arrangement(arr.r, arr.forms)  # nothing cached
+        monkeypatch.setattr(arrangement, "_primitive", counting)
+        flats = arr.central_flats()
+        # one residual per outside form of each flat below codim r - 1
+        assert bound == sum(len(arr.forms) - len(s) for s, c in flats.items() if c < arr.r - 1)
+        assert len(calls) <= bound, len(calls)
+
+
+class TestLatticeBudget:
+    def test_default_admits_braid_a7_and_generic_6_12(self):
+        assert arrangement.MAX_FLATS > 4140 and arrangement.MAX_FLATS > 1587
+        assert len(Arrangement.generic(6, 12).central_flats()) == 1587
+
+    def test_refused_by_the_command_line(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "a4.json"
+        path.write_text(braid(4).to_json())
+        monkeypatch.setattr(arrangement, "MAX_FLATS", 20)  # A_4 has 52 flats
+        code = cli.main(["arr", "lattice", "--arrangement", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert report["error"] == "LatticeTooLarge" and "20 flats" in report["reason"]
+        with pytest.raises(LatticeTooLarge):
+            Arrangement(4, braid(4).forms).betti_data()

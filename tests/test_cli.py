@@ -4,7 +4,7 @@ import json
 import pytest
 
 import arrtwist
-from arrtwist import tower
+from arrtwist import arrangement, tower
 from arrtwist.cli import build_parser, main
 from arrtwist.koszul import Disagreement
 from arrtwist.tower import TowerSpec, check_tower
@@ -513,7 +513,7 @@ class TestPiAndChain:
 
 
 class TestRefusals:
-    def test_every_refusal_exits_2(self, capsys, tmp_path):
+    def test_every_refusal_exits_2(self, capsys, tmp_path, monkeypatch):
         """The exit code comes from the exception type: every refusal class
         the package exports is a Refusal, and each one exits with code 2."""
         non_essential = write(tmp_path, "ne.json", {"r": 3, "forms": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]})
@@ -536,11 +536,15 @@ class TestRefusals:
             c for c in vars(arrtwist).values()
             if isinstance(c, type) and issubclass(c, arrtwist.Refusal) and c is not arrtwist.Refusal
         }
-        assert exported == {cls for cls, _ in cases}
+        assert exported == {cls for cls, _ in cases} | {arrtwist.LatticeTooLarge}
         for cls, argv in cases:
             assert issubclass(cls, ValueError)
             code, out = run(capsys, *argv)
             assert (code, json.loads(out)["error"]) == (2, cls.__name__), argv
+        # the lattice budget, lowered below the boolean arrangement's 8 flats
+        monkeypatch.setattr(arrangement, "MAX_FLATS", 5)
+        code, out = run(capsys, "arr", "lattice", "--arrangement", boolean)
+        assert (code, json.loads(out)["error"]) == (2, "LatticeTooLarge")
 
 
 class TestCrosscheck:

@@ -583,6 +583,33 @@ class TestCyclotomicAgainstReference:
                     assert not calls, (d, k, c)
                 assert x * got == 1
 
+    @pytest.mark.parametrize("d", tuple(range(1, 13)) + (15, 16))
+    def test_roots_of_unity_skip_the_norm_route(self, d, monkeypatch):
+        """c * zeta^k for every k < d, also k >= phi(d), where zeta^k has
+        several nonzero coefficients: the inverse equals the norm route's
+        and never takes it.  An element off every root's line still does."""
+        K = CyclotomicField(d)
+        norm_inverse = CyclotomicElement._norm_inverse
+        taken = []
+
+        def watched(x):
+            taken.append(x)
+            return norm_inverse(x)
+
+        monkeypatch.setattr(CyclotomicElement, "_norm_inverse", watched)
+        for k in range(d):
+            for c in (1, -1, 3, Fraction(-2, 5), Fraction(7, 4)):
+                x = K.zeta(k) * c
+                got = x.inverse()
+                assert not taken, (d, k, c)
+                want = norm_inverse(x)
+                assert got == want and got.coeffs == want.coeffs, (d, k, c)
+                assert_cyclo_int_invariant(got)
+                assert x * got == 1
+        if d > 2:
+            x = K.zeta() + 2
+            assert x * x.inverse() == 1 and taken == [x]
+
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
             CyclotomicField(5).zero.inverse()

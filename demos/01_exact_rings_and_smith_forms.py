@@ -2,9 +2,10 @@
 
 The library works over Z, Q, prime fields, cyclotomic fields Q(zeta_d), and
 Laurent polynomial rings K[t, t^-1].  Matrices over any of these support
-exact rank computation (fraction-free elimination) and, over the Euclidean
-rings, Smith normal form with optional transform tracking -- the engine
-behind every homology computation in the package.
+exact rank computation (Gaussian elimination over fields, the divisor count
+of the Smith form over Z and K[t, t^-1]) and, over the Euclidean rings,
+Smith normal form with optional transform tracking -- the engine behind
+every homology computation in the package.
 """
 
 from fractions import Fraction

@@ -33,7 +33,6 @@ from .chain import (
     FreeChainComplex,
     Homology,
     decide_isomorphic,
-    euler_characteristic,
 )
 from .fox import (
     FreeWord,
@@ -67,10 +66,10 @@ from .rings import (
     QQ,
     RationalField,
     Refusal,
+    RingTooLarge,
     UnsupportedRing,
     ZZ,
     cyclotomic_poly,
-    ring_of,
     ring_from_string,
 )
 from .tower import (

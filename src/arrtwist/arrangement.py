@@ -10,10 +10,10 @@ codimension < r.
 
 `central_flats` is the one source of matroid data: girth, essentiality,
 dense edges and Betti numbers are read off the flats and their Moebius
-values; `closure` and `_rank_of` rank index sets as the reference route.
-One breadth-first pass builds both.  Each flat carries the primitive
-integer residuals of its outside forms, equal residuals name one cover, and
-a cover's residuals are its parent's after one fraction-free step each.
+values, and no rank is taken.  One breadth-first pass builds both.  Each
+flat carries the primitive integer residuals of its outside forms, equal
+residuals name one cover, and a cover's residuals are its parent's after
+one fraction-free step each.
 The top level is free: a flat of codim r - 1 is covered only by the set of
 all forms.  Moebius values come in the same pass, by Weisner's theorem.
 The lattice is refused (`LatticeTooLarge`) once it passes `MAX_FLATS`.
@@ -29,9 +29,11 @@ import json
 from fractions import Fraction
 from math import inf
 
-from .chain import _as_count
-from .linalg import Matrix, rank
-from .rings import ZZ, Refusal, _direction, _primitive
+from .chain import _as_count, _json_object
+# ``rank`` is no longer called here but stays importable as ``arrangement.rank``:
+# the benchmark's tracer self-test (bench/test_bench.py) checks that binding.
+from .linalg import rank  # noqa: F401
+from .rings import Refusal, _direction, _primitive
 
 
 class NotEssential(Refusal):
@@ -160,7 +162,6 @@ class Arrangement:
 
     def __init__(self, r, forms, labels=None):
         self.r = _as_count(r, "r")
-        self._rank_cache = {}
         self._flats = self._mu = None
         self.forms = []
         for f in forms:
@@ -191,17 +192,6 @@ class Arrangement:
         """Count of non-distinguished hyperplanes."""
         return len(self.forms) - 1
 
-    def _rank_of(self, indices):
-        key = frozenset(indices)
-        cache = self._rank_cache
-        if key not in cache:
-            if not key:
-                cache[key] = 0
-            else:
-                m = Matrix(ZZ, [self._int_forms[i] for i in sorted(key)])
-                cache[key] = rank(m)
-        return cache[key]
-
     def is_essential(self):
         return self.central_flats()[frozenset(range(len(self.forms)))] == self.r
 
@@ -210,14 +200,6 @@ class Arrangement:
             raise NotEssential(
                 "the forms do not span; pass an essential arrangement"
             )
-
-    def closure(self, indices):
-        k = self._rank_of(indices)
-        return frozenset(
-            i
-            for i in range(len(self.forms))
-            if i in indices or self._rank_of(frozenset(indices) | {i}) == k
-        )
 
     def central_flats(self):
         """All flats of the cone (closed index sets, the empty one included),
@@ -388,7 +370,7 @@ class Arrangement:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text) if isinstance(text, str) else text
+        data = _json_object(text, "an arrangement")
         forms = data["forms"]
         if not (isinstance(forms, list) and all(
                 isinstance(row, list) and all(isinstance(x, (int, float, Fraction, str)) for x in row)

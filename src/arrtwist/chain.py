@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from numbers import Real
 
-from .rings import Ring, MixedRings, UnsupportedRing, ZZ, ring_from_string
+from .rings import Ring, MixedRings, ring_from_string
 from .linalg import Matrix, rank, smith_normal_form
 
 
@@ -59,6 +59,18 @@ def _as_count(x, what):
     if not isinstance(x, (int, str)) and not (isinstance(x, Real) and int(x) == x):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
+
+
+def _object(value, what):
+    """``value``, which must be a JSON object (a dict)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _json_object(text, what):
+    """A JSON document (text, or already parsed) that must be an object."""
+    return _object(json.loads(text) if isinstance(text, str) else text, what)
 
 
 def _check_ranks(ranks, nbounds):
@@ -158,9 +170,6 @@ class FreeChainComplex:
         rank_next, torsion = self._elimination(q + 1)
         return Homology(self.ranks[q] - self.boundary_rank(q) - rank_next, torsion)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** q * r for q, r in enumerate(self.ranks))
-
     def tensor_substitute(self, target_ring, entry_map):
         """A new complex over ``target_ring`` with every boundary entry sent
         through ``entry_map`` (a ring homomorphism on entries)."""
@@ -191,11 +200,14 @@ class FreeChainComplex:
 
     @classmethod
     def from_json(cls, text) -> "FreeChainComplex":
-        data = json.loads(text) if isinstance(text, str) else text
+        data = _json_object(text, "a complex")
         ring = ring_from_string(data["ring"])
-        ranks = _check_ranks(data["ranks"], len(data["boundaries"]))
+        flats = data["boundaries"]
+        if not (isinstance(flats, list) and all(isinstance(f, list) for f in flats)):
+            raise ValueError(f"boundaries must be a list of entry lists, got {flats!r}")
+        ranks = _check_ranks(data["ranks"], len(flats))
         bnds = []
-        for q, flat in enumerate(data["boundaries"], start=1):
+        for q, flat in enumerate(flats, start=1):
             nr, nc = ranks[q - 1], ranks[q]
             if len(flat) != nr * nc:
                 raise ValueError(f"boundary {q}: expected {nr * nc} entries")
@@ -252,10 +264,6 @@ def _slot_major(n, d, s):
     return [(a * d + k) * s + p for k in range(d) for a in range(n) for p in range(s)]
 
 
-def euler_characteristic(c: FreeChainComplex) -> int:
-    return c.euler_characteristic()
-
-
 def _divisor_chain(c: FreeChainComplex, q):
     """The formatted Smith divisor chain of d_q, read off the cached
     elimination: a unit divisor (canonically 1) per rank not carried by
@@ -291,11 +299,3 @@ def decide_isomorphic(c1: FreeChainComplex, c2: FreeChainComplex):
         report["reason"] = f"divisor chains differ at d_{bad}"
     return not bad, report
 
-
-def complex_over_q(c: FreeChainComplex) -> FreeChainComplex:
-    """View an integer complex over Q (universal-coefficient comparisons)."""
-    from .rings import QQ
-
-    if c.ring != ZZ:
-        raise UnsupportedRing("expected a complex over Z")
-    return c.tensor_substitute(QQ, lambda x: QQ.coerce(x))

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import inf
 
 from .arrangement import Arrangement, Character, InvalidCharacter
-from .chain import FreeChainComplex, decide_isomorphic
+from .chain import FreeChainComplex, _object, decide_isomorphic
 from .fox import GroupPresentation, alexander_complex
 from .koszul import (
     UnitAssignment,
@@ -174,7 +174,7 @@ def _tower(args):
     """(spec, character) from one read of the tower file; --weights wins."""
     data = json.loads(_load(args.tower))
     tw = TowerSpec.from_json(data)
-    named = dict(data.get("weights") or {})
+    named = dict(_object(data.get("weights") or {}, "weights"))
     if args.weights:
         for item in str(args.weights).split(","):
             name, _, val = item.partition("=")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .chain import FreeChainComplex, _as_count
+from .chain import FreeChainComplex, _as_count, _json_object
 from .linalg import Matrix
 
 
@@ -289,7 +289,7 @@ class GroupPresentation:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text) if isinstance(text, str) else text
+        data = _json_object(text, "a presentation")
         relators = data.get("relators", [])
         if not isinstance(relators, list):
             raise ValueError(f"relators must be a list of words, got {relators!r}")

@@ -1,22 +1,21 @@
 """Dense exact linear algebra over the rings of :mod:`arrtwist.rings`.
 
-:func:`rank` is Gaussian elimination over a field, with one inverse per
-pivot, and fraction-free (Bareiss) elimination over Z and Laurent rings,
-where no quotient leaves the ring; :meth:`Matrix.det` runs the same Bareiss
-loop.  Chain complexes use :func:`rank` over fields and otherwise read ranks
-from the Smith form, which is far cheaper on Laurent boundaries (see
-:mod:`arrtwist.chain`).  Smith normal forms over a Euclidean ring
-alternate row echelon passes on the working array and on its transpose
-until it is diagonal (Kannan and Bachem), then fix the divisor chain once
-on the diagonal; divisors are reported as canonical associates (positive
-over Z, valuation-0 monic over K[t,t^-1]).  Each elementary step is written
-once, as a row step: column steps are row steps on the transposed working
-array, which is transposed once per pass.  The optional left and right
-transforms are carried as identity blocks beside and below the matrix, so
-the same steps update them without extra code.
-:meth:`Matrix.inverse` reads the inverse off the transforms over every
-ring.  Kernel bases come from the right transform, which over a PID yields
-a basis of the kernel of the map of free modules (automatically saturated).
+One elimination per kind of ring.  Over a field, :func:`rank` is Gaussian
+elimination with one inverse per pivot.  Over Z and K[t,t^-1] every rank,
+divisor chain, inverse and kernel comes from the Smith form: :func:`rank`
+there is the divisor count of :func:`smith_normal_form`.  Smith normal
+forms over a Euclidean ring alternate row echelon passes on the working
+array and on its transpose until it is diagonal (Kannan and Bachem), then
+fix the divisor chain once on the diagonal; divisors are reported as
+canonical associates (positive over Z, valuation-0 monic over K[t,t^-1]).
+Each elementary step is written once, as a row step: column steps are row
+steps on the transposed working array, which is transposed once per pass.
+The optional left and right transforms are carried as identity blocks
+beside and below the matrix, so the same steps update them without extra
+code.  :meth:`Matrix.inverse` reads the inverse off the transforms over
+every ring.  Kernel bases come from the right transform, which over a PID
+yields a basis of the kernel of the map of free modules (automatically
+saturated).
 
 Matrices are immutable-by-convention dense row-major arrays, except that
 :meth:`Matrix.paste` writes blocks into one still being assembled.  The
@@ -192,16 +191,6 @@ class Matrix:
             raise ZeroDivisionError("matrix is not invertible over its ring")
         return form.right * form.left
 
-    def det(self):
-        """Fraction-free determinant (Bareiss)."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        R = self.ring
-        r, sign, last = _bareiss(R, [row[:] for row in self.rows], self.nrows, self.ncols)
-        if r < self.nrows:
-            return R.zero
-        return -last if sign < 0 else last
-
     def format_entries(self):
         return [[self.ring.format(x) for x in r] for r in self.rows]
 
@@ -215,44 +204,13 @@ def rank(m: Matrix) -> int:
 
     Over a field: Gaussian elimination, one ``unit_inverse`` per pivot and
     one multiply-subtract per entry cleared; rows already zero in the pivot
-    column are skipped.  Otherwise fraction-free (Bareiss) elimination, whose
-    every division is exact in the ring.
+    column are skipped.  Over Z and K[t,t^-1]: the divisor count of the
+    Smith form.
     """
     R = m.ring
-    a = [r[:] for r in m.rows]
     if R.is_field:
-        return _field_rank(R, a, m.nrows, m.ncols)
-    return _bareiss(R, a, m.nrows, m.ncols)[0]
-
-
-def _bareiss(R, a, nr, nc):
-    """Fraction-free elimination of the rows ``a`` (consumed).
-
-    Returns ``(rank, sign, last)``: ``sign`` is the parity of the row swaps
-    and ``last`` the last pivot (``R.one`` if there is none).  For a square
-    matrix of full rank, ``sign * last`` is its determinant.
-    """
-    r = 0
-    sign = 1
-    prev = R.one
-    for c in range(nc):
-        if r >= nr:
-            break
-        # smallest-size nonzero pivot in this column keeps entries tame
-        cand = [i for i in range(r, nr) if not R.is_zero(a[i][c])]
-        if not cand:
-            continue
-        piv = min(cand, key=lambda i: R.euclid_size(a[i][c]))
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                a[i][j] = R.exact_div(a[r][c] * a[i][j] - a[i][c] * a[r][j], prev)
-            a[i][c] = R.zero
-        prev = a[r][c]
-        r += 1
-    return r, sign, prev
+        return _field_rank(R, [r[:] for r in m.rows], m.nrows, m.ncols)
+    return smith_normal_form(m).rank
 
 
 def _field_rank(R, a, nr, nc):

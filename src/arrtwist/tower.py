@@ -29,7 +29,7 @@ import json
 from itertools import combinations
 from math import comb, prod
 
-from .chain import FreeChainComplex, _as_count, extend_by_free
+from .chain import FreeChainComplex, _as_count, _json_object, _object, extend_by_free
 from .fox import FreeWord, fox_derivative
 from .koszul import (
     Disagreement,
@@ -153,19 +153,20 @@ class TowerSpec:
         """Wire format: exponents listed from the innermost (normal) level
         outward, i.e. [d_l, ..., d_2], matching the semidirect product
         notation; monodromy keyed by level and lower-generator name."""
-        data = json.loads(text) if isinstance(text, str) else text
+        data = _json_object(text, "a tower")
         exps = list(data["exponents"])[::-1]  # to d_2..d_l; checked by cls
         nlevels = len(exps)
         names = {}
+        generators = _object(data.get("generators") or {}, "generators")
         for j in range(2, nlevels + 2):
-            given = (data.get("generators") or {}).get(f"level_{j}")
+            given = generators.get(f"level_{j}")
             if given:
                 names[j] = list(given)
         tmp = cls(exps, names=names)  # names resolved; now parse monodromy
         mono = {}
-        for level_key, per_gen in (data.get("monodromy") or {}).items():
+        for level_key, per_gen in _object(data.get("monodromy") or {}, "monodromy").items():
             j = int(str(level_key).split("_")[-1])
-            for gen_name, words in per_gen.items():
+            for gen_name, words in _object(per_gen, f"monodromy {level_key}").items():
                 if gen_name not in tmp.index:
                     raise TowerInvalid(f"unknown generator {gen_name!r} in monodromy")
                 mono[(j, tmp.index[gen_name])] = words

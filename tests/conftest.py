@@ -3,7 +3,83 @@ import random
 import pytest
 
 from arrtwist.fox import FreeWord, GroupPresentation
+from arrtwist.rings import ZZ
 from arrtwist.tower import TowerSpec, TowerCharacter
+
+
+# -- reference routes: the fraction-free (Bareiss) rank, and flats by
+# closures of ranked index sets.  The library ranks over Z and K[t,t^-1] by
+# the Smith form and finds flats without ranking, so these stay independent.
+
+
+def bareiss(R, a, nr, nc):
+    """Fraction-free elimination of the rows ``a`` (consumed).
+
+    Returns ``(rank, sign, last)``: ``sign`` is the parity of the row swaps
+    and ``last`` the last pivot (``R.one`` if there is none).  For a square
+    matrix of full rank, ``sign * last`` is its determinant.
+    """
+    r = 0
+    sign = 1
+    prev = R.one
+    for c in range(nc):
+        if r >= nr:
+            break
+        # smallest-size nonzero pivot in this column keeps entries tame
+        cand = [i for i in range(r, nr) if not R.is_zero(a[i][c])]
+        if not cand:
+            continue
+        piv = min(cand, key=lambda i: R.euclid_size(a[i][c]))
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        for i in range(r + 1, nr):
+            for j in range(c + 1, nc):
+                a[i][j] = R.exact_div(a[r][c] * a[i][j] - a[i][c] * a[r][j], prev)
+            a[i][c] = R.zero
+        prev = a[r][c]
+        r += 1
+    return r, sign, prev
+
+
+def bareiss_rank(m):
+    """Rank of a ``Matrix`` over the fraction field of its ring, by Bareiss."""
+    return bareiss(m.ring, [r[:] for r in m.rows], m.nrows, m.ncols)[0]
+
+
+def bareiss_det(m):
+    """Determinant of a square ``Matrix``, by Bareiss."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    R = m.ring
+    r, sign, last = bareiss(R, [row[:] for row in m.rows], m.nrows, m.ncols)
+    if r < m.nrows:
+        return R.zero
+    return -last if sign < 0 else last
+
+
+class IndexSetRanks:
+    """Ranks and closures of sets of an arrangement's hyperplane indices,
+    each rank a Bareiss rank of the primitive integer forms, cached."""
+
+    def __init__(self, arr):
+        self.forms = arr._int_forms
+        self.cache = {}
+
+    def rank_of(self, indices):
+        key = frozenset(indices)
+        if key not in self.cache:
+            rows = [list(self.forms[i]) for i in sorted(key)]
+            self.cache[key] = bareiss(ZZ, rows, len(rows), len(self.forms[0]))[0]
+        return self.cache[key]
+
+    def closure(self, indices):
+        k = self.rank_of(indices)
+        return frozenset(
+            i
+            for i in range(len(self.forms))
+            if i in indices or self.rank_of(frozenset(indices) | {i}) == k
+        )
 
 
 def random_word(rnd, n_gens, max_len=12):

@@ -15,6 +15,8 @@ from arrtwist.arrangement import (
     NotEssential,
 )
 
+from conftest import IndexSetRanks
+
 NEAR_PENCIL = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
 
 
@@ -41,7 +43,7 @@ class TestLattice:
             assert f.codim == len(f.indices)
 
     def test_closure_idempotent_and_monotone(self):
-        a = Arrangement(3, NEAR_PENCIL)
+        a = IndexSetRanks(Arrangement(3, NEAR_PENCIL))
         for size in (1, 2, 3):
             for sub in combinations(range(4), size):
                 cl = a.closure(frozenset(sub))
@@ -97,12 +99,13 @@ def bipartition_connected(arr, flat):
     """Matroid connectivity by brute force: no bipartition of the flat with
     additive rank (the oracle for the fundamental-graph test)."""
     ground = sorted(flat)
-    total = arr._rank_of(flat)
+    ranks = IndexSetRanks(arr)
+    total = ranks.rank_of(flat)
     first, rest = ground[0], ground[1:]
     for size in range(len(rest)):
         for part in combinations(rest, size):
             p1 = frozenset((first,) + part)
-            if arr._rank_of(p1) + arr._rank_of(frozenset(ground) - p1) == total:
+            if ranks.rank_of(p1) + ranks.rank_of(frozenset(ground) - p1) == total:
                 return False
     return True
 
@@ -264,6 +267,7 @@ class TestJson:
 def closure_flats(arr):
     """Every flat by breadth-first search over closures, one closure per
     (flat, form): the oracle for the residual search."""
+    ranks = IndexSetRanks(arr)
     flats = {frozenset(): 0}
     frontier = [frozenset()]
     while frontier:
@@ -271,9 +275,9 @@ def closure_flats(arr):
         for flat in frontier:
             for i in range(len(arr.forms)):
                 if i not in flat:
-                    new = arr.closure(flat | {i})
+                    new = ranks.closure(flat | {i})
                     if new not in flats:
-                        flats[new] = arr._rank_of(new)
+                        flats[new] = ranks.rank_of(new)
                         nxt.append(new)
         frontier = nxt
     return flats
@@ -340,8 +344,9 @@ class TestLatticeAgainstClosureSearch:
 def subset_girth(arr):
     """The least size of a dependent subset, by ranking every subset."""
     m = len(arr.forms)
+    ranks = IndexSetRanks(arr)
     for k in range(1, m + 1):
-        if any(arr._rank_of(sub) < k for sub in combinations(range(m), k)):
+        if any(ranks.rank_of(sub) < k for sub in combinations(range(m), k)):
             return k
     return inf
 
@@ -366,7 +371,7 @@ class TestReadOffTheLattice:
         seen = set()
         for arr in arrangements:
             want = subset_girth(Arrangement(arr.r, arr.forms))
-            essential = arr._rank_of(range(len(arr.forms))) == arr.r
+            essential = IndexSetRanks(arr).rank_of(range(len(arr.forms))) == arr.r
             assert arr.girth() == want, arr.forms
             assert arr.is_essential() == essential, arr.forms
             seen.add(want if want in (3, 4, inf) else "other")

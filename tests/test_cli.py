@@ -531,6 +531,9 @@ class TestRefusals:
             (arrtwist.UnsupportedRing,
              ("homology", "koszul", "--arrangement", generic, "--weights=-4,1,1,1,1",
               "--ring", "bogus")),
+            (arrtwist.RingTooLarge,
+             ("homology", "koszul", "--arrangement", generic, "--weights=-4,1,1,1,1",
+              "--ring", f"F{2**61 - 1}")),
         ]
         exported = {
             c for c in vars(arrtwist).values()
@@ -545,6 +548,50 @@ class TestRefusals:
         monkeypatch.setattr(arrangement, "MAX_FLATS", 5)
         code, out = run(capsys, "arr", "lattice", "--arrangement", boolean)
         assert (code, json.loads(out)["error"]) == (2, "LatticeTooLarge")
+
+
+TOP_LEVEL_LIST = "[1, 2]"
+
+
+class TestMalformedFiles:
+    """Well-formed JSON of the wrong shape is an input error (exit 1, a JSON
+    error on stdout), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, payload, reason",
+        [
+            (("arr", "lattice", "--arrangement", "@"), TOP_LEVEL_LIST,
+             "an arrangement must be a JSON object"),
+            (("homology", "fox", "--presentation", "@", "--weights", "1"), TOP_LEVEL_LIST,
+             "a presentation must be a JSON object"),
+            (("milnor", "spectrum", "--presentation", "@"), TOP_LEVEL_LIST,
+             "a presentation must be a JSON object"),
+            (("homology", "tower", "--tower", "@"), TOP_LEVEL_LIST, "a tower must be a JSON object"),
+            (("chain", "iso", "--a", "@", "--b", "@"), TOP_LEVEL_LIST,
+             "a complex must be a JSON object"),
+            (("homology", "tower", "--tower", "@"), {"exponents": [2, 1], "monodromy": [1]},
+             "monodromy must be a JSON object"),
+            (("homology", "tower", "--tower", "@"),
+             {"exponents": [2, 1], "monodromy": {"level_3": [1]}},
+             "monodromy level_3 must be a JSON object"),
+            (("homology", "tower", "--tower", "@"), {"exponents": [2, 1], "generators": [1]},
+             "generators must be a JSON object"),
+            (("homology", "tower", "--tower", "@"), {"exponents": [2, 1], "weights": [1, 2]},
+             "weights must be a JSON object"),
+            (("chain", "iso", "--a", "@", "--b", "@"),
+             {"ring": "Z", "ranks": [1, 1], "boundaries": [5]},
+             "boundaries must be a list of entry lists"),
+        ],
+        ids=["arrangement-list", "fox-list", "milnor-list", "tower-list", "complex-list",
+             "monodromy", "monodromy-level", "tower-generators", "tower-weights",
+             "boundary-entry"],
+    )
+    def test_input_error_not_traceback(self, capsys, tmp_path, argv, payload, reason):
+        path = write(tmp_path, "bad.json", payload)
+        code, out = run(capsys, *(path if a == "@" else a for a in argv))
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError" and rep["reason"].startswith(reason), rep
 
 
 class TestCrosscheck:

@@ -1,10 +1,11 @@
 """One cached elimination per boundary.
 
 ``FreeChainComplex`` ranks a boundary over Z and K[t,t^-1] by the divisor
-count of its Smith form; ``linalg.rank`` (fraction-free Bareiss) is the
-independent route these tests hold it against.  The call-count tests pin
-the reuse: no command eliminates the same boundary twice, builds the
-Z^n complex twice or past the degrees it reads, or validates a tower twice.
+count of its Smith form, as ``linalg.rank`` does there; the fraction-free
+Bareiss rank of ``conftest`` is the independent route these tests hold it
+against.  The call-count tests pin the reuse: no command eliminates the
+same boundary twice, builds the Z^n complex twice or past the degrees it
+reads, or validates a tower twice.
 """
 
 import json
@@ -26,7 +27,7 @@ from arrtwist.linalg import Matrix, rank, smith_normal_form
 from arrtwist.rings import QQ, ZZ, LaurentRing
 from arrtwist.tower import boolean_pi_rank, build_tower_complex, check_tower
 
-from conftest import random_tower, random_tower_character
+from conftest import bareiss_rank, random_tower, random_tower_character
 
 L = LaurentRing(QQ)
 
@@ -45,7 +46,7 @@ def random_weights(rnd, n, g):
 def bareiss_homology(cx, q):
     """H_q by the route the cache replaced: two Bareiss ranks plus a
     Smith form of d_(q+1) for the torsion."""
-    free = cx.ranks[q] - rank(cx.boundary(q)) - rank(cx.boundary(q + 1))
+    free = cx.ranks[q] - bareiss_rank(cx.boundary(q)) - bareiss_rank(cx.boundary(q + 1))
     if cx.ring.is_field or q == cx.top:
         return Homology(free)
     return Homology(free, smith_normal_form(cx.boundary(q + 1)).nontrivial(cx.ring))
@@ -53,7 +54,7 @@ def bareiss_homology(cx, q):
 
 def assert_routes_agree(cx):
     for q in range(0, cx.top + 2):
-        assert cx.boundary_rank(q) == rank(cx.boundary(q)), q
+        assert cx.boundary_rank(q) == bareiss_rank(cx.boundary(q)), q
     for q in range(cx.top + 1):
         assert cx.homology(q) == bareiss_homology(cx, q), q
 
@@ -174,7 +175,7 @@ class TestOneEliminationPerBoundary:
         ranks = _count_calls(monkeypatch, rank)
         yield smith, builds
         full = builds[0][1]
-        # Laurent ranks come from the Smith forms: Bareiss never runs on them
+        # Laurent ranks come from the cached Smith forms: rank never runs on them
         assert not [m for m, _ in ranks if any(m is d for d in full.boundaries)]
 
     def _run(self, capsys, tmp_path, *argv):

@@ -2,9 +2,10 @@
 
 ``linalg.rank`` runs Gaussian elimination over fields (one inverse per
 pivot), ``alexander_complex`` builds each column of d_2 in one prefix pass,
-and ``Arrangement`` ranks subsets of primitive integer forms over Z.  Each
-is compared here with an independent route: the Smith form, the Fox
-derivative specialized word by word, and the Q rank of the original forms.
+and ``Arrangement`` works with primitive integer forms, which the
+index-set reference route of ``conftest`` ranks over Z.  Each is compared
+here with an independent route: the Smith form, the Fox derivative
+specialized word by word, and the Q rank of the original forms.
 """
 
 from fractions import Fraction
@@ -30,7 +31,7 @@ from arrtwist.rings import (
     PrimeField,
 )
 
-from conftest import conjugated_commutators
+from conftest import IndexSetRanks, conjugated_commutators
 
 FIELDS = [QQ, CyclotomicField(5), CyclotomicField(7), CyclotomicField(8), PrimeField(7)]
 
@@ -204,9 +205,10 @@ class TestArrangementIntegerRanks:
             "r": 3,
             "forms": [["1/2", 0, 0], [0, "2/3", "-4/9"], [1, "1/2", 1], ["3/7", "3/7", "-6/7"]],
         })
+        ranks = IndexSetRanks(arr)
         for k in range(1, 5):
             for sub in combinations(range(4), k):
-                assert arr._rank_of(sub) == q_rank(arr.forms[i] for i in sub)
+                assert ranks.rank_of(sub) == q_rank(arr.forms[i] for i in sub)
         assert arr.forms[0] == (Fraction(1, 2), 0, 0)  # reports keep the input
 
     def test_random_arrangements(self, rnd):
@@ -222,6 +224,7 @@ class TestArrangementIntegerRanks:
             except ValueError:
                 continue  # a zero or repeated hyperplane
             checked += 1
+            ranks = IndexSetRanks(arr)
             for k in range(1, len(forms) + 1):
                 for sub in combinations(range(len(forms)), k):
-                    assert arr._rank_of(sub) == q_rank(arr.forms[i] for i in sub)
+                    assert ranks.rank_of(sub) == q_rank(arr.forms[i] for i in sub)

@@ -17,8 +17,8 @@ from arrtwist.rings import (
     ZZ,
     cyclotomic_poly,
     format_poly_terms,
+    RingTooLarge,
     ring_from_string,
-    ring_of,
 )
 
 
@@ -143,28 +143,6 @@ class TestPrimeField:
             PrimeField(6)
 
 
-class TestRingOf:
-    def test_rational_literals(self):
-        assert ring_of([Fraction(1, 2), 3]) == QQ
-
-    def test_integers(self):
-        assert ring_of([1, -4, 0]) == ZZ
-
-    def test_laurent_tag(self):
-        L = LaurentRing(QQ)
-        assert ring_of([L.t() ** 2 - 1]) == L
-
-    def test_cyclotomic_tag(self):
-        K = CyclotomicField(3)
-        assert ring_of([K.zeta(), 1]) == K
-
-    def test_mixed_rejected(self):
-        K = CyclotomicField(3)
-        L = LaurentRing(QQ)
-        with pytest.raises(MixedRings):
-            ring_of([K.zeta(), L.t()])
-
-
 class TestRingFromString:
     def test_names(self):
         assert ring_from_string("Q") == QQ
@@ -175,6 +153,30 @@ class TestRingFromString:
         assert ring_from_string("laurent:cyclotomic:3") == LaurentRing(CyclotomicField(3))
         for name in ("Q", "Z", "F7", "cyclotomic:4", "laurent", "laurent:F3"):
             assert ring_from_string(name).name.lower() == name.lower()
+
+    def test_budgets_refuse_before_any_work(self, monkeypatch):
+        """Past ``MAX_PRIME`` or ``MAX_CYCLOTOMIC_ORDER`` a descriptor is
+        refused before trial division or any cyclotomic polynomial."""
+        from arrtwist import rings
+
+        def no_work(*args):
+            raise AssertionError("ran work on a refused descriptor")
+
+        monkeypatch.setattr(rings, "_is_prime", no_work)
+        monkeypatch.setattr(rings, "cyclotomic_poly", no_work)
+        for name in (
+            f"F{2**61 - 1}",
+            f"F{rings.MAX_PRIME + 15}",  # 2^32 + 15 is prime
+            f"laurent:F{2**61 - 1}",
+            "cyclotomic:16000",
+            f"cyclotomic:{rings.MAX_CYCLOTOMIC_ORDER + 1}",
+            f"laurent:cyclotomic:{rings.MAX_CYCLOTOMIC_ORDER + 1}",
+        ):
+            with pytest.raises(RingTooLarge):
+                ring_from_string(name)
+        # the largest order within the budget builds its field lazily
+        d = rings.MAX_CYCLOTOMIC_ORDER
+        assert ring_from_string(f"cyclotomic:{d}") == CyclotomicField(d)
 
 
 # ----------------------------------------------------------------------

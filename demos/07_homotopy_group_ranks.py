@@ -40,7 +40,7 @@ print("cokernel: free rank", ps.cokernel.free_rank, "invariant factors",
 tor = [build_koszul(UnitAssignment.from_character(ch)).homology(q).free_rank for q in range(4)]
 print("Tor free ranks:", tor)
 print("Euler formula value:", rank_formula_general(chi, 3, tor))
-print("combinatorial value:", rank_formula_nonresonant(chi, 3, 5)["rank"])
+print("combinatorial value:", rank_formula_nonresonant(chi, 3, 5))
 
 print()
 print("= the same arrangement at the trivial character =")

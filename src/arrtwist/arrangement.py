@@ -29,7 +29,7 @@ import json
 from fractions import Fraction
 from math import inf
 
-from .chain import _as_count, _json_object
+from .chain import _as_count, _json_object, _shaped
 # ``rank`` is no longer called here but stays importable as ``arrangement.rank``:
 # the benchmark's tracer self-test (bench/test_bench.py) checks that binding.
 from .linalg import rank  # noqa: F401
@@ -377,7 +377,7 @@ class Arrangement:
                 for row in forms)):
             raise ValueError(f"forms must be a list of coefficient lists, got {forms!r}")
         forms = [[Fraction(x) if isinstance(x, str) else x for x in row] for row in forms]
-        return cls(data["r"], forms, labels=data.get("labels"))
+        return cls(data["r"], forms, labels=_shaped(data.get("labels") or [], list, "labels"))
 
     def to_json(self):
         return json.dumps(

@@ -61,16 +61,20 @@ def _as_count(x, what):
     return int(x)
 
 
-def _object(value, what):
-    """``value``, which must be a JSON object (a dict)."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+_JSON_KINDS = {dict: "object", list: "list", str: "string", bool: "boolean"}
+
+
+def _shaped(value, kind, what):
+    """``value``, which must be a JSON value of ``kind``: dict, list, str or
+    bool (a number is not a boolean here)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
 def _json_object(text, what):
     """A JSON document (text, or already parsed) that must be an object."""
-    return _object(json.loads(text) if isinstance(text, str) else text, what)
+    return _shaped(json.loads(text) if isinstance(text, str) else text, dict, what)
 
 
 def _check_ranks(ranks, nbounds):
@@ -201,11 +205,11 @@ class FreeChainComplex:
     @classmethod
     def from_json(cls, text) -> "FreeChainComplex":
         data = _json_object(text, "a complex")
-        ring = ring_from_string(data["ring"])
+        ring = ring_from_string(_shaped(data["ring"], str, "ring"))
         flats = data["boundaries"]
         if not (isinstance(flats, list) and all(isinstance(f, list) for f in flats)):
             raise ValueError(f"boundaries must be a list of entry lists, got {flats!r}")
-        ranks = _check_ranks(data["ranks"], len(flats))
+        ranks = _check_ranks(_shaped(data["ranks"], list, "ranks"), len(flats))
         bnds = []
         for q, flat in enumerate(flats, start=1):
             nr, nc = ranks[q - 1], ranks[q]

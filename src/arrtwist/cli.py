@@ -21,14 +21,13 @@ from functools import lru_cache
 from math import inf
 
 from .arrangement import Arrangement, Character, InvalidCharacter
-from .chain import FreeChainComplex, _object, decide_isomorphic
+from .chain import FreeChainComplex, _shaped, decide_isomorphic
 from .fox import GroupPresentation, alexander_complex
 from .koszul import (
     UnitAssignment,
     check_generic_position,
     complete_homology_generic_position,
     generic_range_homology,
-    require_agreement,
 )
 from .milnor import MilnorSpectrum, obstruction_report, spectrum_from_presentation
 from .rings import Refusal, ring_from_string
@@ -174,7 +173,7 @@ def _tower(args):
     """(spec, character) from one read of the tower file; --weights wins."""
     data = json.loads(_load(args.tower))
     tw = TowerSpec.from_json(data)
-    named = dict(_object(data.get("weights") or {}, "weights"))
+    named = dict(_shaped(data.get("weights") or {}, dict, "weights"))
     if args.weights:
         for item in str(args.weights).split(","):
             name, _, val = item.partition("=")
@@ -236,25 +235,10 @@ def cmd_chain_iso(args):
 def cmd_crosscheck(args):
     arr = Arrangement.from_json(_load(args.arrangement))
     ch = _character(arr, args.weights)
-    u = UnitAssignment.from_character(ch)
-    check_generic_position(arr, u)  # the homology route's refusals come first
-    pi = boolean_pi_rank(arr, ch)  # compares its own routes
-    checks = list(pi.checks)
-    if args.presentation:
-        pres = GroupPresentation.from_json(_load(args.presentation))
-        ring = u.ring
-        ac = alexander_complex(pres, u.units, ring)
-        # generic position forces r >= 3, so H_0 and H_1 are complete-homology entries
-        for q in (0, 1):
-            ha, hb = ac.homology(q), pi.homology[q]
-            checks.append(
-                {
-                    "name": f"H_{q}: presentation complex vs Z^n complex",
-                    "values": [ha.describe(ring), hb.describe(ring)],
-                    "agree": ha == hb,
-                }
-            )
-    return {"checks": require_agreement(checks), "all_agree": True}
+    # the homology route's refusals come first
+    check_generic_position(arr, UnitAssignment.from_character(ch))
+    pres = GroupPresentation.from_json(_load(args.presentation)) if args.presentation else None
+    return {"checks": boolean_pi_rank(arr, ch, pres).checks, "all_agree": True}
 
 
 # -- parser -----------------------------------------------------------------

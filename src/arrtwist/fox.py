@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .chain import FreeChainComplex, _as_count, _json_object
+from .chain import FreeChainComplex, _as_count, _json_object, _shaped
 from .linalg import Matrix
 
 
@@ -293,11 +293,12 @@ class GroupPresentation:
         relators = data.get("relators", [])
         if not isinstance(relators, list):
             raise ValueError(f"relators must be a list of words, got {relators!r}")
+        names = data.get("names")
         return cls(
             data["generators"],
             relators,
-            meridian_marked=data.get("meridians", False),
-            names=data.get("names"),
+            meridian_marked=_shaped(data.get("meridians", False), bool, "meridians"),
+            names=None if names is None else _shaped(names, list, "names"),
         )
 
     def to_json(self):

@@ -34,9 +34,16 @@ class Disagreement(RuntimeError):
     """Two computation paths that must agree did not; a convention bug."""
 
 
+def _check(name, a, b):
+    """One named comparison of two routes to the same value."""
+    return {"name": name, "values": [a, b], "agree": a == b}
+
+
 def require_agreement(checks):
-    """``checks``, a list of {"name", "values", "agree"} comparisons of
-    paired routes, or Disagreement carrying their JSON when any differs."""
+    """``checks``, a list of :func:`_check` comparisons of paired routes, or
+    Disagreement carrying their JSON when any differs.  This is how the
+    library compares any two computed values, so every mismatch reports
+    the full list of checks it was part of."""
     if not all(c["agree"] for c in checks):
         raise Disagreement(json.dumps(checks))
     return checks
@@ -55,21 +62,17 @@ class UnitAssignment:
         first = next((u for u in self.units if isinstance(u, Matrix)), None)
         self.module_rank = module_rank = first.nrows if first is not None else 1
         self._slot = []  # (u^-1 - 1) per generator, as a module_rank x module_rank block
+        eye = Matrix.identity(ring, module_rank)
         for u in self.units:
             if isinstance(u, Matrix):
                 if (u.nrows, u.ncols) != (module_rank, module_rank):
                     raise ValueError("matrix units must be square of the module rank")
-                self._slot.append(u.inverse() - Matrix.identity(ring, module_rank))
+                self._slot.append(u.inverse() - eye)
             else:
                 u = ring.coerce(u)
                 if not ring.is_unit(u):
                     raise ValueError(f"{ring.format(u)} is not a unit in {ring.name}")
-                inv = ring.unit_inverse(u)
-                if module_rank == 1:
-                    self._slot.append(Matrix(ring, [[inv - ring.one]], 1, 1))
-                else:
-                    eye = Matrix.identity(ring, module_rank)
-                    self._slot.append(eye * inv - eye)
+                self._slot.append(eye * ring.unit_inverse(u) - eye)
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if isinstance(self.units[i], Matrix) and isinstance(self.units[j], Matrix):
@@ -168,25 +171,20 @@ def generic_range_homology(arr: Arrangement, u: UnitAssignment) -> RangeHomology
 
 
 class CompleteHomology:
-    """All-degrees homology for the generic-position case, with the two
-    computation paths for the top degree recorded."""
+    """All-degrees homology for the generic-position case.  ``checks`` is
+    the top-degree comparison of the two routes (formula first, kernel
+    rank second), as :func:`require_agreement` passed it."""
 
-    __slots__ = (
-        "entries",
-        "top_degree",
-        "chi",
-        "kappa",
-        "top_rank_formula",
-        "top_rank_direct",
-    )
+    __slots__ = ("entries", "top_degree", "chi", "kappa", "checks",
+                 "top_rank_formula", "top_rank_direct")
 
-    def __init__(self, entries, top_degree, chi, kappa, formula, direct):
+    def __init__(self, entries, top_degree, chi, kappa, checks):
         self.entries = entries
         self.top_degree = top_degree
         self.chi = chi
         self.kappa = kappa
-        self.top_rank_formula = formula
-        self.top_rank_direct = direct
+        self.checks = checks
+        self.top_rank_formula, self.top_rank_direct = checks[0]["values"]
 
     def __getitem__(self, q):
         if q in self.entries:
@@ -229,7 +227,8 @@ def complete_homology_generic_position(
         rank H_(r-1) = (-1)^(r-1) [ (module rank) * chi(M) - kappa ],
         kappa = sum_(q=0)^(r-2) (-1)^q rank H_q,
 
-    and the two must agree (Disagreement otherwise).  Degrees above r-1
+    and the two must agree: the comparison is the one check kept on the
+    result, and a mismatch raises Disagreement.  Degrees above r-1
     vanish, so only d_1 .. d_(r-1) are read and the complex is built up to
     degree r - 1.  ``full`` is a complex of ``u`` built at least that far
     when the caller already has one; its cached eliminations are reused.
@@ -249,12 +248,11 @@ def complete_homology_generic_position(
     formula = (-1) ** (r - 1) * (d * chi - kappa)
     # direct path: H_(r-1) of the truncation at r-1 is the kernel of d_(r-1)
     direct = full.ranks[r - 1] - full.boundary_rank(r - 1)
-    if formula != direct:
-        raise Disagreement(
-            f"top homology rank: formula gives {formula}, kernel gives {direct}"
-        )
+    checks = require_agreement(
+        [_check("top-degree homology: kappa formula vs kernel rank", formula, direct)]
+    )
     entries[r - 1] = Homology(direct)
-    return CompleteHomology(entries, r - 1, chi, kappa, formula, direct)
+    return CompleteHomology(entries, r - 1, chi, kappa, checks)
 
 
 class PresentationSummary:

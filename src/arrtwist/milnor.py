@@ -3,26 +3,30 @@
 For an essential arrangement of n+1 hyperplanes with a meridian-marked
 presentation of the complement's fundamental group, b_1 of the Milnor fiber
 splits as the sum over t = 0..n of the twisted first Betti numbers where
-every meridian acts by u^t, u a primitive (n+1)-st root of unity.  t = 0 is
-the untwisted case and must give n.  For t >= 1, u^t is a primitive e-th
-root of unity with e = (n+1) / gcd(t, n+1), and its Galois conjugates are
-the u^s with gcd(s, n+1) = gcd(t, n+1); so b_1^t depends only on that gcd
-and is computed once per class.
+every meridian acts by u^t, u a primitive (n+1)-st root of unity.  u^t is a
+primitive e-th root of unity with e = (n+1) / gcd(t, n+1), and its Galois
+conjugates are the u^s with gcd(s, n+1) = gcd(t, n+1); so b_1^t depends
+only on that gcd and is computed once per class.  t = 0, the untwisted
+case, is the class e = 1 and must give n.
 
 Every value is read off one complex: the presentation complex over
 Q[s, s^-1] with every meridian sent to s, assembled (and checked to be a
 complex) once.  Two routes give each class's value:
 
-* the Alexander module (Libgober, Duke Math. J. 49, 1982).  H_1 over
-  Q[s, s^-1] is a free part plus the torsion of the Smith divisors of d_2.
-  As d_2 = P D Q with P, Q invertible over Q[s, s^-1], and s -> zeta_e is a
-  ring map, the rank of d_2 at zeta_e counts the divisors that do not vanish
-  there; so b_1^t is the free rank plus the number of torsion divisors that
-  Phi_e divides (the Phi_e rule);
+* the Alexander module (Libgober, Duke Math. J. 49, 1982), by universal
+  coefficients at q = 1.  H_1 over Q[s, s^-1] is a free part plus the
+  torsion of the Smith divisors of d_2, and H_0 is the torsion of those of
+  d_1.  As d_q = P D Q with P, Q invertible over Q[s, s^-1], and
+  s -> zeta_e is a ring map, the rank of d_q at zeta_e counts the divisors
+  that do not vanish there; so b_1^t is the free rank of H_1 plus the
+  number of torsion divisors of H_1 and of H_0 (the Tor term) that Phi_e
+  divides (the Phi_e rule).  H_0 = Q[s, s^-1]/(s - 1) for n >= 1, so the
+  Tor term counts at e = 1 only;
 * the cyclotomic rank: the complex specialized by s -> zeta_e into
   Q(zeta_e), where H_1's rank comes from Gaussian elimination.
 
-A class whose two values differ raises ``Disagreement``.
+Each class is a named check of ``koszul.require_agreement``: a class whose
+two values differ raises ``Disagreement``.
 
 If the complement embedded as a subcomplex of a minimal structure on the
 ambient Boolean complement (through degree 2), the twisted numbers for
@@ -37,7 +41,7 @@ from math import gcd
 
 from .chain import _as_count
 from .fox import GroupPresentation, NotMeridianMarked, alexander_complex
-from .koszul import Disagreement
+from .koszul import _check, require_agreement
 from .rings import (
     QQ, CyclotomicElement, CyclotomicField, LaurentPoly, LaurentRing, cyclotomic_poly,
 )
@@ -98,15 +102,18 @@ def spectrum_from_presentation(pres: GroupPresentation) -> MilnorSpectrum:
     """The spectrum of a meridian-marked presentation.
 
     One complex: the presentation complex over L = Q[s, s^-1] with every
-    meridian sent to s.  t = 0 reads it at s = 1 over Q.  For each divisor
-    g <= n of n+1, with e = (n+1)/g, every t with gcd(t, n+1) = g gets
+    meridian sent to s.  For each divisor g of n+1, with e = (n+1)/g, every
+    t = 0..n with gcd(t, n+1) = g gets (t = 0 is the class g = n+1, e = 1)
 
-    * the Alexander-module value: the free rank of H_1 over L plus the
-      number of its torsion divisors that Phi_e divides;
+    * the Alexander-module value, by universal coefficients at q = 1: the
+      free rank of H_1 over L plus the number of torsion divisors of H_1
+      and of H_0 (the Tor term) that Phi_e divides;
     * the cyclotomic value: the rank of H_1 of the complex at s = zeta_e,
-      over Q(zeta_e);
+      over Q(zeta_e).
 
-    and ``Disagreement`` is raised when the two differ.
+    Each class is one named check, and ``Disagreement`` is raised when the
+    two values of any class differ.  H_0 is L/(s - 1) for n >= 1, so only
+    e = 1 gains a Tor term, and b_1^0 = n comes out of both routes.
 
     >>> pencil = GroupPresentation(2, (), meridian_marked=True)  # pi_1 = F_2
     >>> spectrum_from_presentation(pencil).values
@@ -119,29 +126,26 @@ def spectrum_from_presentation(pres: GroupPresentation) -> MilnorSpectrum:
     n = pres.n
     L = LaurentRing(QQ)
     cx = alexander_complex(pres, [L.t()] * n, L)
-    # t = 0: constant coefficients; meridian marking forces b_1 = n.
-    h1 = cx.tensor_substitute(QQ, lambda p: sum(p.coeffs.values())).homology(1)
-    if h1.free_rank != n:
-        raise NotMeridianMarked(
-            f"untwisted H_1 has rank {h1.free_rank}, expected n = {n}"
-        )
-    values = [n] + [None] * n
-    h = cx.homology(1)
-    for g in range(1, n + 1):
-        if (n + 1) % g:
+    h0, h1 = cx.homology(0), cx.homology(1)
+    torsion = h1.torsion + h0.torsion  # H_0's divisors are the Tor term
+    by_gcd, checks = {}, []
+    for t in range(n + 1):
+        g = gcd(t, n + 1)
+        if g in by_gcd:
             continue
         e = (n + 1) // g
         phi = LaurentPoly(QQ, dict(enumerate(cyclotomic_poly(e))))
-        module = h.free_rank + sum(1 for d in h.torsion if _vanishes_at_root(d, phi))
-        rank = _at_root_of_unity(cx, e).homology(1).free_rank
-        if module != rank:
-            raise Disagreement(
-                f"b_1^{g} (gcd({g}, {n + 1}) = {g}): the Alexander module "
-                f"gives {module}, the rank over Q(zeta_{e}) gives {rank}"
-            )
-        for t in range(g, n + 1, g):
-            if gcd(t, n + 1) == g:
-                values[t] = module
+        by_gcd[g] = h1.free_rank + sum(1 for d in torsion if _vanishes_at_root(d, phi))
+        checks.append(_check(
+            f"b_1^{t}, class gcd({t}, {n + 1}) = {g}: Alexander module vs rank over Q(zeta_{e})",
+            by_gcd[g], _at_root_of_unity(cx, e).homology(1).free_rank,
+        ))
+    require_agreement(checks)
+    values = [by_gcd[gcd(t, n + 1)] for t in range(n + 1)]
+    if values[0] != n:  # meridian marking forces b_1^0 = n
+        raise NotMeridianMarked(
+            f"untwisted H_1 has rank {values[0]}, expected n = {n}"
+        )
     return MilnorSpectrum(n, values)
 
 
@@ -157,10 +161,8 @@ def obstruction_report(spectrum: MilnorSpectrum) -> dict:
     n = spectrum.n
     tail = spectrum.values[1:]
     constant_tail = len(set(tail)) <= 1
+    # a constant tail c gives total = n(1 + c), as b_1^0 = n: it divides
     divides = spectrum.b1_total % n == 0 if n else True
-    # constant tail => total = n(1 + c), so divisibility follows; check.
-    if constant_tail and not divides:
-        raise Disagreement("internal inconsistency: constant tail must divide")
     obstructed = not (constant_tail and divides)
     report = {
         "n": n,

@@ -425,8 +425,6 @@ class LaurentPoly:
     >>> t = LaurentPoly.t(QQ)
     >>> (t - 1) * (t + 1) == t*t - 1
     True
-    >>> (t**-2 + 1).support()
-    (-2, 0)
     >>> type(LaurentPoly(QQ, {0: Fraction(4, 2)}).coeffs[0]).__name__
     'int'
     """
@@ -449,9 +447,6 @@ class LaurentPoly:
     @classmethod
     def const(cls, base, c):
         return cls(base, {0: base.coerce(c)})
-
-    def support(self):
-        return tuple(sorted(self.coeffs))
 
     def _coerce(self, other):
         if type(other) is LaurentPoly:
@@ -778,10 +773,6 @@ class CyclotomicField(Field):
     @property
     def name(self):
         return f"cyclotomic:{self.d}"
-
-    @property
-    def degree(self):
-        return len(cyclotomic_poly(self.d)) - 1
 
     def zeta(self, power=1):
         return CyclotomicElement.zeta(self.d, power)

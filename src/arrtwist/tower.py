@@ -29,11 +29,11 @@ import json
 from itertools import combinations
 from math import comb, prod
 
-from .chain import FreeChainComplex, _as_count, _json_object, _object, extend_by_free
-from .fox import FreeWord, fox_derivative
+from .chain import FreeChainComplex, _as_count, _json_object, _shaped, extend_by_free
+from .fox import FreeWord, alexander_complex, fox_derivative
 from .koszul import (
-    Disagreement,
     PresentationSummary,
+    _check,
     boolean_units,
     build_koszul,
     complete_homology_generic_position,
@@ -121,19 +121,6 @@ class TowerSpec:
         j, a = gen
         return self.names[j][a]
 
-    def parse_element(self, text):
-        """A word across levels: space-separated globally unique names with
-        optional -1 suffixes, e.g. 'y1 x2-1'.  Returns ((level, idx), sign)
-        pairs."""
-        out = []
-        for tok in str(text).split():
-            inv = tok.endswith("-1")
-            nm = tok[:-2] if inv else tok
-            if nm not in self.index:
-                raise ValueError(f"unknown generator {nm!r}")
-            out.append((self.index[nm], -1 if inv else 1))
-        return out
-
     def poincare_coefficients(self):
         """Coefficients of prod_j (1 + d_j T); entry q is the q-th Betti
         number of the tower group."""
@@ -154,19 +141,19 @@ class TowerSpec:
         outward, i.e. [d_l, ..., d_2], matching the semidirect product
         notation; monodromy keyed by level and lower-generator name."""
         data = _json_object(text, "a tower")
-        exps = list(data["exponents"])[::-1]  # to d_2..d_l; checked by cls
+        exps = _shaped(data["exponents"], list, "exponents")[::-1]  # to d_2..d_l; checked by cls
         nlevels = len(exps)
         names = {}
-        generators = _object(data.get("generators") or {}, "generators")
+        generators = _shaped(data.get("generators") or {}, dict, "generators")
         for j in range(2, nlevels + 2):
             given = generators.get(f"level_{j}")
             if given:
-                names[j] = list(given)
+                names[j] = _shaped(given, list, f"generators level_{j}")
         tmp = cls(exps, names=names)  # names resolved; now parse monodromy
         mono = {}
-        for level_key, per_gen in _object(data.get("monodromy") or {}, "monodromy").items():
+        for level_key, per_gen in _shaped(data.get("monodromy") or {}, dict, "monodromy").items():
             j = int(str(level_key).split("_")[-1])
-            for gen_name, words in _object(per_gen, f"monodromy {level_key}").items():
+            for gen_name, words in _shaped(per_gen, dict, f"monodromy {level_key}").items():
                 if gen_name not in tmp.index:
                     raise TowerInvalid(f"unknown generator {gen_name!r} in monodromy")
                 mono[(j, tmp.index[gen_name])] = words
@@ -381,7 +368,9 @@ def jacobian_rep(tw: TowerSpec, level, element, ch: TowerCharacter) -> Matrix:
     [['t^3', '-t + t^3'], ['0', 't^2']]
     """
     if isinstance(element, str):
-        element = tw.parse_element(element)
+        gens = tw.generators()
+        word = FreeWord.parse(element, names=[tw.name(g) for g in gens])
+        element = [(gens[abs(x) - 1], 1 if x > 0 else -1) for x in word.letters]
     ev = _Evaluator(tw, ch)
     return ev.rho_word(list(element), (level,))
 
@@ -417,15 +406,16 @@ def pi_p_presentation_fibertype(
 ) -> PresentationSummary:
     """The (p+2)-nd boundary of the tower complex as a presentation matrix,
     with its cokernel summary.  The caller asserts the geometric hypotheses
-    (fiber-type ambient, p = r - 1)."""
-    cx = build_tower_complex(tw, ch)
+    (fiber-type ambient, p = r - 1).  A p outside the complex is refused
+    before any work: the top degree is the number of levels."""
+    top = len(tw.exponents)
     if p < 0:
         raise DegreeUnavailable(f"p must be nonnegative, got {p}")
-    if p + 2 > cx.top:
+    if p + 2 > top:
         raise DegreeUnavailable(
-            f"complex has top degree {cx.top}; boundary {p + 2} does not exist"
+            f"complex has top degree {top}; boundary {p + 2} does not exist"
         )
-    return PresentationSummary.of_boundary(cx, p + 2)
+    return PresentationSummary.of_boundary(build_tower_complex(tw, ch), p + 2)
 
 
 def rank_formula_general(chi: int, r: int, tor_ranks) -> int:
@@ -439,39 +429,19 @@ def rank_formula_general(chi: int, r: int, tor_ranks) -> int:
     return (-1) ** (r - 1) * (chi - alt)
 
 
-def rank_formula_nonresonant(chi: int, r: int, m: int, b_r_pi=None, exponents=None):
-    """The nonresonant case split: (-1)^(r-1) chi when r+1 < m, and the r-th
-    Betti number of the tower group when r+1 = m (equal to prod d_j when the
-    complex has dimension r).  Returns a report with the applicable value and
-    the combinatorial cross-check when exponents are supplied."""
+def rank_formula_nonresonant(chi: int, r: int, m: int, b_r_pi=None) -> int:
+    """The pi_p rank of a nonresonant character by the case split:
+    (-1)^(r-1) chi when r+1 < m, and b_r(pi), the r-th Betti number of the
+    tower group (prod d_j when the complex has dimension r), when r+1 = m."""
     if r < 3:
         raise ValueError("needs r >= 3")
-    out = {"r": r, "m": m, "chi": chi}
     if r + 1 < m:
-        out["case"] = "r+1<m"
-        out["rank"] = (-1) ** (r - 1) * chi
-    elif r + 1 == m:
-        out["case"] = "r+1=m"
-        if b_r_pi is None and exponents is not None:
-            coeffs = TowerSpec(list(exponents)).poincare_coefficients()
-            b_r_pi = coeffs[r] if r < len(coeffs) else 0
-        if b_r_pi is None:
-            raise ValueError("r+1 = m needs b_r(pi) or the exponents")
-        out["rank"] = _as_count(b_r_pi, "b_r(pi)")
-    else:
+        return (-1) ** (r - 1) * chi
+    if r + 1 > m:
         raise ValueError("a proper section needs r < m")
-    if exponents is not None:
-        exps = list(exponents)
-        out["exponent_product"] = prod(exps)
-        coeffs = TowerSpec(exps).poincare_coefficients()
-        out["poincare_coefficients"] = coeffs
-        if out["case"] == "r+1=m" and r == len(exps):
-            if out["rank"] != out["exponent_product"]:
-                raise Disagreement(
-                    f"b_r(pi) = {out['rank']} but the exponent product is "
-                    f"{out['exponent_product']}"
-                )
-    return out
+    if b_r_pi is None:
+        raise ValueError("r+1 = m needs b_r(pi)")
+    return _as_count(b_r_pi, "b_r(pi)")
 
 
 class BooleanPiRank:
@@ -507,11 +477,7 @@ class BooleanPiRank:
         self.checks = checks
 
 
-def _check(name, a, b):
-    return {"name": name, "values": [a, b], "agree": a == b}
-
-
-def boolean_pi_rank(arr, character) -> BooleanPiRank:
+def boolean_pi_rank(arr, character, group_presentation=None) -> BooleanPiRank:
     """Every route to the pi_p rank of a generic-position arrangement with
     Boolean ambient, from a single build of the Z^n complex.
 
@@ -519,10 +485,14 @@ def boolean_pi_rank(arr, character) -> BooleanPiRank:
     d_(p+2) = d_(r+1), so the complex is built up to degree min(n, r + 1).
     Its per-boundary cache means each boundary is eliminated once for the
     presentation, the complete homology and the Tor ranks together.
-    The routes are compared here, once: the top-degree homology by the kappa
-    formula and the kernel rank, then the cokernel rank against the
-    Euler-characteristic formula and, for a nonresonant character, against
-    the combinatorial value.  Any mismatch raises Disagreement.
+    The checks start from the complete homology's top-degree check (kappa
+    formula vs kernel rank); then the cokernel rank is compared with the
+    Euler-characteristic formula and, for a nonresonant character, with
+    the combinatorial value.  ``group_presentation``, a presentation of the
+    complement's fundamental group, adds H_0 and H_1 of its complex,
+    specialized by the same character, against the Z^n complex.  All go
+    through :func:`arrtwist.koszul.require_agreement` at once, so any
+    mismatch raises Disagreement.
     """
     p, u = boolean_units(arr, character)
     full = build_koszul(u, min(arr.n, arr.r + 1))
@@ -532,19 +502,25 @@ def boolean_pi_rank(arr, character) -> BooleanPiRank:
     formula = rank_formula_general(homology.chi, arr.r, tor_ranks)
     nonresonant, _ = arr.is_nonresonant(character)
     rank = presentation.cokernel.free_rank
-    checks = [
-        _check("top-degree homology: kappa formula vs kernel rank",
-               homology.top_rank_formula, homology.top_rank_direct),
+    checks = homology.checks + [
         _check("pi_p rank: cokernel vs Euler-characteristic formula", rank, formula),
     ]
     nonresonant_rank = None
     if nonresonant:
         nonresonant_rank = rank_formula_nonresonant(
             homology.chi, arr.r, arr.n + 1, b_r_pi=comb(arr.n, arr.r)
-        )["rank"]
+        )
         checks.append(
             _check("pi_p rank: nonresonant combinatorial value", rank, nonresonant_rank)
         )
+    if group_presentation is not None:
+        ac = alexander_complex(group_presentation, u.units, u.ring)
+        # generic position forces r >= 3, so H_0 and H_1 are complete-homology entries
+        for q in (0, 1):
+            checks.append(_check(
+                f"H_{q}: presentation complex vs Z^n complex",
+                ac.homology(q).describe(u.ring), homology[q].describe(u.ring),
+            ))
     return BooleanPiRank(
         p, presentation, homology, formula,
         nonresonant, nonresonant_rank, require_agreement(checks),

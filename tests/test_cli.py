@@ -581,10 +581,29 @@ class TestMalformedFiles:
             (("chain", "iso", "--a", "@", "--b", "@"),
              {"ring": "Z", "ranks": [1, 1], "boundaries": [5]},
              "boundaries must be a list of entry lists"),
+            (("homology", "tower", "--tower", "@"), {"exponents": 5},
+             "exponents must be a JSON list"),
+            (("homology", "tower", "--tower", "@"),
+             {"exponents": [2, 1], "generators": {"level_2": 5}},
+             "generators level_2 must be a JSON list"),
+            (("chain", "iso", "--a", "@", "--b", "@"), {"ring": "Z", "ranks": 5, "boundaries": []},
+             "ranks must be a JSON list"),
+            (("chain", "iso", "--a", "@", "--b", "@"), {"ring": 5, "ranks": [1], "boundaries": []},
+             "ring must be a JSON string"),
+            (("arr", "betti", "--arrangement", "@"), dict(GENERIC5, labels=5),
+             "labels must be a JSON list"),
+            (("milnor", "spectrum", "--presentation", "@"),
+             {"generators": 2, "relators": [], "names": 5, "meridians": True},
+             "names must be a JSON list"),
+            (("milnor", "spectrum", "--presentation", "@"),
+             {"generators": 2, "relators": [], "meridians": "no"},
+             "meridians must be a JSON boolean"),
         ],
         ids=["arrangement-list", "fox-list", "milnor-list", "tower-list", "complex-list",
              "monodromy", "monodromy-level", "tower-generators", "tower-weights",
-             "boundary-entry"],
+             "boundary-entry", "tower-exponents", "tower-level-names", "complex-ranks",
+             "complex-ring", "arrangement-labels", "presentation-names",
+             "presentation-meridians"],
     )
     def test_input_error_not_traceback(self, capsys, tmp_path, argv, payload, reason):
         path = write(tmp_path, "bad.json", payload)

@@ -17,7 +17,9 @@ import pytest
 from arrtwist.arrangement import Arrangement, Character
 from arrtwist.chain import FreeChainComplex, Homology
 from arrtwist.cli import build_parser, main
+from arrtwist.fox import GroupPresentation
 from arrtwist.koszul import (
+    Disagreement,
     UnitAssignment,
     build_koszul,
     complete_homology_generic_position,
@@ -131,6 +133,32 @@ class TestSharedComplex:
         assert pi.presentation.cokernel == ps.cokernel
         assert pi.presentation.matrix == ps.matrix
         assert pi.formula == ps.cokernel.free_rank
+
+    def test_presentation_checks_follow_the_pi_checks(self):
+        # four generic lines in P^2: pi_1 is Z^3, and its presentation complex
+        # has the Z^n complex's H_0 and H_1
+        arr = Arrangement.generic(3, 4)
+        ch = Character.from_tail([1, 1, 1])
+        plain = boolean_pi_rank(arr, ch).checks
+        pi = boolean_pi_rank(arr, ch, GroupPresentation.commutative(3))
+        assert pi.checks[:3] == plain
+        assert [c["name"] for c in pi.checks] == [
+            "top-degree homology: kappa formula vs kernel rank",
+            "pi_p rank: cokernel vs Euler-characteristic formula",
+            "pi_p rank: nonresonant combinatorial value",
+            "H_0: presentation complex vs Z^n complex",
+            "H_1: presentation complex vs Z^n complex",
+        ]
+        h0, h1 = ({"free_rank": 0, "torsion": ["-1 + t"] * k} for k in (1, 2))
+        assert [c["values"] for c in pi.checks[3:]] == [[h0, h0], [h1, h1]]
+
+    def test_wrong_presentation_is_a_disagreement(self):
+        # F_3 has the right H_0 but a free H_1 of rank 2
+        arr = Arrangement.generic(3, 4)
+        with pytest.raises(Disagreement, match="H_1: presentation complex") as err:
+            boolean_pi_rank(arr, Character.from_tail([1, 1, 1]),
+                            GroupPresentation(3, (), meridian_marked=True))
+        assert '"agree": false' in str(err.value)
 
 
 def _count_calls(monkeypatch, fn):

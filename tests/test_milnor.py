@@ -1,3 +1,4 @@
+import json
 import random
 from math import gcd
 
@@ -182,6 +183,34 @@ class TestGaloisClasses:
         monkeypatch.setattr(FreeChainComplex, "homology", dropped)
         with pytest.raises(Disagreement, match="gcd"):
             spectrum_from_presentation(phi3_presentation())
+
+    @pytest.mark.parametrize("pres", (GroupPresentation.commutative(5), phi3_presentation()))
+    def test_dropped_tor_term_disagrees(self, monkeypatch, pres):
+        # without H_0 = L/(s - 1), route 1 reads b_1^0 = n - 1 at e = 1
+        original = FreeChainComplex.homology
+
+        def dropped(cx, q):
+            h = original(cx, q)
+            if cx.ring == LaurentRing(QQ) and q == 0:
+                return Homology(h.free_rank)
+            return h
+
+        monkeypatch.setattr(FreeChainComplex, "homology", dropped)
+        with pytest.raises(Disagreement, match=r"gcd\(0, 6\) = 6") as err:
+            spectrum_from_presentation(pres)
+        bad = [c for c in json.loads(str(err.value)) if not c["agree"]]
+        assert [c["values"] for c in bad] == [[4, 5]]
+
+    def test_untwisted_class_has_two_routes(self, monkeypatch):
+        # the rank route at e = 1 read at s = -1 instead: b_1^0 disagrees
+        original = milnor._at_root_of_unity
+        monkeypatch.setattr(
+            milnor, "_at_root_of_unity", lambda cx, e: original(cx, 2 if e == 1 else e)
+        )
+        with pytest.raises(Disagreement, match="gcd") as err:
+            spectrum_from_presentation(GroupPresentation.commutative(5))
+        bad = [c for c in json.loads(str(err.value)) if not c["agree"]]
+        assert len(bad) == 1 and bad[0]["name"].startswith("b_1^0,")
 
     @pytest.mark.parametrize("n", (4, 6))
     def test_prime_n_plus_1_never_obstructed(self, rnd, n):

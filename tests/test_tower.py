@@ -299,6 +299,22 @@ class TestPiPresentationFibertype:
 
         assert multiset(ps.matrix) == multiset(psK.matrix)
 
+    @pytest.mark.parametrize("p", (-1, 1, 9))
+    def test_bad_p_refused_before_any_work(self, monkeypatch, p):
+        # the top degree is the number of levels: no probe, boundary or gate runs
+        monkeypatch.setattr(tower, "build_tower_complex", lambda *a: pytest.fail("built"))
+        tw = f2_semi_f1()  # two levels: p = 0 only
+        with pytest.raises(DegreeUnavailable):
+            pi_p_presentation_fibertype(tw, p, TowerCharacter.from_lists(tw, [[1], [1, 1]]))
+
+    def test_bad_p_refused_before_an_invalid_tower(self):
+        tw = incompatible_relator_tower()
+        ch = TowerCharacter.from_lists(tw, [[1], [1], [1, 1]])
+        with pytest.raises(DegreeUnavailable):
+            pi_p_presentation_fibertype(tw, 9, ch)
+        with pytest.raises(TowerInvalid):
+            pi_p_presentation_fibertype(tw, 1, ch)
+
     def test_too_short_complex(self):
         tw = f2_semi_f1()
         ch = TowerCharacter.from_lists(tw, [[1], [1, 1]])
@@ -326,20 +342,14 @@ class TestRankFormulas:
         assert rank_formula_general(1, 3, [0, 0, 0, 0]) == 1
 
     def test_nonresonant_cases(self):
-        assert rank_formula_nonresonant(3, 3, 5)["rank"] == 3
-        assert rank_formula_nonresonant(1, 3, 4, b_r_pi=1)["rank"] == 1
-        rep = rank_formula_nonresonant(0, 3, 4, exponents=[1, 2, 3])
-        assert rep["rank"] == 6 == rep["exponent_product"]
+        assert rank_formula_nonresonant(3, 3, 5) == 3
+        assert rank_formula_nonresonant(1, 3, 4, b_r_pi=1) == 1
+        assert rank_formula_nonresonant(5, 3, 5, b_r_pi=6) == 5  # r+1<m ignores b_r
 
     def test_non_integral_b_r_refused(self):
         # int() used to truncate 1.8 to rank 1
         with pytest.raises(ValueError, match="must be an integer, got 1.8"):
             rank_formula_nonresonant(1, 3, 4, b_r_pi=1.8)
-
-    def test_exponent_product_crosscheck(self):
-        rep = rank_formula_nonresonant(5, 3, 5, exponents=[1, 2, 3])
-        assert rep["exponent_product"] == 6
-        assert rep["rank"] == 5  # the r+1<m case ignores b_r
 
 
 class TestRandomizedGates:

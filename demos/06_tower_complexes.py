@@ -14,7 +14,6 @@ from arrtwist import (
     build_tower_complex,
     check_tower,
     jacobian_rep,
-    tor_groups,
 )
 from arrtwist.rings import LaurentRing, QQ
 
@@ -45,8 +44,9 @@ for row in cx.boundary(2).format_entries():
 
 print()
 print("= Tor groups at weights (1, 1, 1) =")
-ch1 = TowerCharacter.from_lists(tw, [[1], [1, 1]])
-for q, h in sorted(tor_groups(tw, ch1).items()):
+cx1 = build_tower_complex(tw, TowerCharacter.from_lists(tw, [[1], [1, 1]]))
+for q in range(cx1.top + 1):
+    h = cx1.homology(q)
     print(f"  Tor_{q}: free rank {h.free_rank}, torsion", [L.format(d) for d in h.torsion])
 
 print()

@@ -83,7 +83,6 @@ from .tower import (
     pi_p_presentation_fibertype,
     rank_formula_general,
     rank_formula_nonresonant,
-    tor_groups,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ import json
 from fractions import Fraction
 from math import inf
 
-from .chain import _as_count, _json_object, _shaped
+from .chain import _as_count, _json_object
 # ``rank`` is no longer called here but stays importable as ``arrangement.rank``:
 # the benchmark's tracer self-test (bench/test_bench.py) checks that binding.
 from .linalg import rank  # noqa: F401
@@ -160,7 +160,7 @@ class Arrangement:
     (1, 3, 3)
     """
 
-    def __init__(self, r, forms, labels=None):
+    def __init__(self, r, forms):
         self.r = _as_count(r, "r")
         self._flats = self._mu = None
         self.forms = []
@@ -183,9 +183,6 @@ class Arrangement:
         if clashes:
             i, j = min(clashes)
             raise ValueError(f"hyperplanes {i} and {j} coincide")
-        self.labels = list(labels) if labels else [f"H{i}" for i in range(len(self.forms))]
-        if len(self.labels) != len(self.forms):
-            raise ValueError("one label per hyperplane")
 
     @property
     def n(self):
@@ -373,17 +370,16 @@ class Arrangement:
         data = _json_object(text, "an arrangement")
         forms = data["forms"]
         if not (isinstance(forms, list) and all(
-                isinstance(row, list) and all(isinstance(x, (int, float, Fraction, str)) for x in row)
+                isinstance(row, list) and all(type(x) in (int, float, Fraction, str) for x in row)
                 for row in forms)):
             raise ValueError(f"forms must be a list of coefficient lists, got {forms!r}")
         forms = [[Fraction(x) if isinstance(x, str) else x for x in row] for row in forms]
-        return cls(data["r"], forms, labels=_shaped(data.get("labels") or [], list, "labels"))
+        return cls(data["r"], forms)
 
     def to_json(self):
         return json.dumps(
             {
                 "r": self.r,
                 "forms": [[str(x) if x.denominator != 1 else x.numerator for x in f] for f in self.forms],
-                "labels": self.labels,
             }
         )

@@ -55,8 +55,8 @@ class Homology:
 
 def _as_count(x, what):
     """``x`` as an int, refusing a value that ``int`` would truncate (1.9)
-    or that is no number at all (None, a list)."""
-    if not isinstance(x, (int, str)) and not (isinstance(x, Real) and int(x) == x):
+    or that is no number at all (None, a list, a JSON boolean)."""
+    if type(x) is bool or not (isinstance(x, (int, str)) or isinstance(x, Real) and int(x) == x):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
 
@@ -215,6 +215,8 @@ class FreeChainComplex:
             nr, nc = ranks[q - 1], ranks[q]
             if len(flat) != nr * nc:
                 raise ValueError(f"boundary {q}: expected {nr * nc} entries")
+            if any(isinstance(v, bool) for v in flat):
+                raise ValueError(f"boundary {q}: a JSON boolean is not a scalar")
             vals = [
                 ring.parse(v) if isinstance(v, str) else ring.coerce(v) for v in flat
             ]

@@ -156,11 +156,8 @@ def cmd_homology_fox(args):
 
 def cmd_homology_tower(args):
     tw, ch = _tower(args)
-    if args.max_q is not None and args.max_q < 0:
-        raise ValueError(f"--max-q must be nonnegative, got {args.max_q}")
     cx = build_tower_complex(tw, ch)
-    max_q = cx.top if args.max_q is None else min(args.max_q, cx.top)
-    tor = {q: cx.homology(q) for q in range(max_q + 1)}
+    tor = {q: cx.homology(q) for q in range(cx.top + 1)}
     return {
         "exponents": tw.exponents[::-1],
         "poincare_coefficients": tw.poincare_coefficients(),
@@ -188,13 +185,10 @@ def cmd_milnor_spectrum(args):
 
 
 def cmd_milnor_obstruct(args):
-    if args.spectrum:
-        values = _weights(args.spectrum)
-        n = args.n if args.n is not None else len(values) - 1
-        return obstruction_report(MilnorSpectrum(n, values))
-    if args.presentation is None:
-        raise ValueError("milnor obstruct needs --spectrum or --presentation")
-    return cmd_milnor_spectrum(args)
+    if args.spectrum is None:
+        raise ValueError("milnor obstruct needs --spectrum")
+    values = _weights(args.spectrum)
+    return obstruction_report(MilnorSpectrum(len(values) - 1, values))
 
 
 def cmd_pi_rank(args):
@@ -291,7 +285,6 @@ def build_parser():
     p_ht = hsub.add_parser("tower")
     p_ht.add_argument("--tower", required=True)
     p_ht.add_argument("--weights", help="name=int,name=int,...")
-    p_ht.add_argument("--max-q", type=int, dest="max_q")
     p_ht.set_defaults(fn=cmd_homology_tower)
 
     p_m = sub.add_parser("milnor", help="Milnor fiber spectra and obstruction")
@@ -300,9 +293,7 @@ def build_parser():
     p_ms.add_argument("--presentation", required=True)
     p_ms.set_defaults(fn=cmd_milnor_spectrum)
     p_mo = msub.add_parser("obstruct")
-    p_mo.add_argument("--n", type=int)
-    p_mo.add_argument("--spectrum")
-    p_mo.add_argument("--presentation")
+    p_mo.add_argument("--spectrum", help="b_1^0..b_1^n, comma-separated")
     p_mo.set_defaults(fn=cmd_milnor_obstruct)
 
     p_pi = sub.add_parser("pi", help="higher homotopy group presentations")

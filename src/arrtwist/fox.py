@@ -61,29 +61,26 @@ class FreeWord:
 
     @classmethod
     def parse(cls, text, names=None):
-        """Parse either compact one-letter syntax ('aba-1b-1') or
-        space-separated named tokens ('x1 x2-1', with ``names`` giving the
-        generator order)."""
+        """Parse compact one-letter syntax ('aba-1b-1', whitespace ignored)
+        or, with ``names`` giving the generator order, space-separated
+        named tokens ('x1 x2-1')."""
         if not isinstance(text, str):
             raise ValueError(f"a word must be a string, got {text!r}")
-        text = text.strip()
-        if not text or text == "1":
+        tokens = text.split()
+        if tokens in ([], ["1"]):
             return cls()
-        if names is not None or " " in text:
-            letters = []
-            for tok in text.split():
+        letters = []
+        if names is not None:
+            for tok in tokens:
                 inv = tok.endswith("-1")
                 name = tok[:-2] if inv else tok
-                if names is not None:
-                    try:
-                        idx = list(names).index(name)
-                    except ValueError:
-                        raise ValueError(f"unknown generator {name!r}") from None
-                else:
-                    idx = ord(name) - ord("a")
+                try:
+                    idx = list(names).index(name)
+                except ValueError:
+                    raise ValueError(f"unknown generator {name!r}") from None
                 letters.append(-(idx + 1) if inv else idx + 1)
             return cls(letters)
-        letters = []
+        text = "".join(tokens)
         i = 0
         while i < len(text):
             ch = text[i]
@@ -255,7 +252,7 @@ class GroupPresentation:
     enforces this.
     """
 
-    __slots__ = ("n", "relators", "meridian_marked", "names")
+    __slots__ = ("n", "relators", "meridian_marked")
 
     def __init__(self, n, relators=(), meridian_marked=False, names=None):
         self.n = _as_count(n, "the generator count")
@@ -269,7 +266,6 @@ class GroupPresentation:
             if r.max_generator() > self.n:
                 raise ValueError(f"relator {r!r} uses an undeclared generator")
         self.meridian_marked = bool(meridian_marked)
-        self.names = list(names) if names else None
         if self.meridian_marked:
             for r in self.relators:
                 if any(r.exponent_sums(self.n)):
@@ -278,14 +274,15 @@ class GroupPresentation:
                     )
 
     @classmethod
-    def commutative(cls, n, meridian_marked=True):
-        """<x_1..x_n | all commutators> (the free abelian group Z^n)."""
+    def commutative(cls, n):
+        """<x_1..x_n | all commutators> (the free abelian group Z^n),
+        meridian-marked."""
         rels = []
         for i in range(n):
             for j in range(i + 1, n):
                 a, b = FreeWord.generator(i), FreeWord.generator(j)
                 rels.append(a * b * a.inverse() * b.inverse())
-        return cls(n, rels, meridian_marked=meridian_marked)
+        return cls(n, rels, meridian_marked=True)
 
     @classmethod
     def from_json(cls, text):
@@ -330,11 +327,7 @@ def alexander_complex(pres: GroupPresentation, units, ring) -> FreeChainComplex:
     for u in units:
         if not ring.is_unit(u):
             raise ValueError(f"{ring.format(u)} is not invertible in {ring.name}")
-    inverse_of = {}  # one inverse per distinct unit
-    for u in units:
-        if u not in inverse_of:
-            inverse_of[u] = ring.unit_inverse(u)
-    inverses = [inverse_of[u] for u in units]
+    inverses = [ring.unit_inverse(u) for u in units]
     columns = []
     for r in pres.relators:
         col = [ring.zero] * n

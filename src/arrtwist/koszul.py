@@ -271,25 +271,17 @@ class PresentationSummary:
         return cls(cx.boundary(q), cx.cokernel(q), cx.ring)
 
 
-def boolean_units(arr: Arrangement, character: Character):
-    """(p, units t^(gamma_i)) for a character of a generic-position
-    arrangement with Boolean ambient; refuses everything else."""
-    p, is_gp = arr.generic_position_profile()
-    if not is_gp:
-        raise NotGenericPosition("needs generic position (c = r + 1, n + 1 > r)")
-    if len(character) != arr.n + 1:
-        raise ValueError(f"need {arr.n + 1} weights")
-    return p, UnitAssignment.from_character(character)
-
-
 def pi_p_presentation_boolean(arr: Arrangement, character: Character) -> PresentationSummary:
     """Presentation of the character-abelianized first higher homotopy group
-    for generic-position arrangements with Boolean ambient.
+    for generic-position arrangements with Boolean ambient, where
+    p = c - 2 = r - 1.
 
     The presentation matrix is the (p+2)-nd boundary of the Z^n complex with
     units t^(gamma_i) (a zero-column matrix when p + 2 > n); the cokernel
     summary lists its free rank over K[t,t^-1] and the non-unit invariant
     factors.
     """
-    p, u = boolean_units(arr, character)
+    u = UnitAssignment.from_character(character)
+    check_generic_position(arr, u)
+    p = arr.r - 1
     return PresentationSummary.of_boundary(build_koszul(u, min(p + 2, arr.n)), p + 2)

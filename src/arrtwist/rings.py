@@ -798,9 +798,9 @@ class CyclotomicField(Field):
 
 
 class LaurentRing(Ring):
-    def __init__(self, base=None):
-        self.base = base if base is not None else QQ
-        if not self.base.is_field:
+    def __init__(self, base):
+        self.base = base
+        if not base.is_field:
             raise UnsupportedRing("Laurent coefficients must form a field")
 
     @property

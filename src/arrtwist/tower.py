@@ -26,21 +26,22 @@ with the presentation complex) that gate pins all sign and side conventions.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, count, islice
 from math import comb, prod
 
 from .chain import FreeChainComplex, _as_count, _json_object, _shaped, extend_by_free
 from .fox import FreeWord, alexander_complex, fox_derivative
 from .koszul import (
     PresentationSummary,
+    UnitAssignment,
     _check,
-    boolean_units,
     build_koszul,
+    check_generic_position,
     complete_homology_generic_position,
     require_agreement,
 )
 from .linalg import Matrix
-from .rings import LaurentRing, QQ, Refusal
+from .rings import LaurentRing, QQ, Refusal, _is_prime
 
 
 class TowerInvalid(ValueError):
@@ -234,8 +235,11 @@ def check_tower(tw: TowerSpec):
                 )
     relator_bad = []
     if not homology_bad:
-        for primes in (_PRIMES, _PRIMES[::-1]):  # two probe characters
-            ev = _Evaluator(tw, TowerCharacter(dict(zip(tw.generators(), primes))))
+        gens = tw.generators()
+        # the first max(#generators, 18) primes: every generator weighs > 0
+        probe = list(islice(filter(_is_prime, count(2)), max(len(gens), 18)))
+        for primes in (probe, probe[::-1]):  # two probe characters
+            ev = _Evaluator(tw, TowerCharacter(dict(zip(gens, primes))))
             for j in tw.levels():  # level-major, so the report order is fixed
                 for i, ip in combinations(range(2, j), 2):
                     for a in range(tw.d(i)):
@@ -253,9 +257,6 @@ def check_tower(tw: TowerSpec):
         "homology_violations": homology_bad,
         "relator_violations": relator_bad,
     }
-
-
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 
 
 class _Evaluator:
@@ -393,14 +394,6 @@ def build_tower_complex(tw: TowerSpec, ch: TowerCharacter) -> FreeChainComplex:
         raise TowerInvalid(f"assembled boundaries are not a complex: {e}") from e
 
 
-def tor_groups(tw: TowerSpec, ch: TowerCharacter, max_q=None):
-    """Tor_q of the trivial module against K[t,t^-1] through the character,
-    as homology of the tower complex; {q: Homology}."""
-    cx = build_tower_complex(tw, ch)
-    top = cx.top if max_q is None else min(max_q, cx.top)
-    return {q: cx.homology(q) for q in range(top + 1)}
-
-
 def pi_p_presentation_fibertype(
     tw: TowerSpec, p: int, ch: TowerCharacter
 ) -> PresentationSummary:
@@ -494,7 +487,9 @@ def boolean_pi_rank(arr, character, group_presentation=None) -> BooleanPiRank:
     through :func:`arrtwist.koszul.require_agreement` at once, so any
     mismatch raises Disagreement.
     """
-    p, u = boolean_units(arr, character)
+    u = UnitAssignment.from_character(character)
+    check_generic_position(arr, u)
+    p = arr.r - 1
     full = build_koszul(u, min(arr.n, arr.r + 1))
     presentation = PresentationSummary.of_boundary(full, p + 2)
     homology = complete_homology_generic_position(arr, u, full)

@@ -34,7 +34,7 @@ DIAG4 = {"ring": "Z", "ranks": [1, 1], "boundaries": [["4"]]}
 class TestMilnorCommands:
     def test_obstruct_quoted_fixture(self, capsys):
         code, out = run(
-            capsys, "milnor", "obstruct", "--n", "5", "--spectrum", "5,0,1,0,1,0"
+            capsys, "milnor", "obstruct", "--spectrum", "5,0,1,0,1,0"
         )
         assert code == 0
         rep = json.loads(out)
@@ -54,7 +54,7 @@ class TestMilnorCommands:
 
     def test_bad_spectrum_is_input_error(self, capsys):
         code, out = run(
-            capsys, "milnor", "obstruct", "--n", "5", "--spectrum", "4,0,1,0,1,0"
+            capsys, "milnor", "obstruct", "--spectrum", "4,0,1,0,1,0"
         )
         assert code == 1
 
@@ -62,12 +62,11 @@ class TestMilnorCommands:
         pres = write(
             tmp_path, "neg.json", {"generators": -1, "relators": [], "meridians": True}
         )
-        for cmd in (("milnor", "spectrum"), ("milnor", "obstruct")):
-            code, out = run(capsys, *cmd, "--presentation", pres)
-            assert code == 1
-            rep = json.loads(out)
-            assert rep["error"] == "ValueError"
-            assert "generator count must be nonnegative" in rep["reason"]
+        code, out = run(capsys, "milnor", "spectrum", "--presentation", pres)
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "ValueError"
+        assert "generator count must be nonnegative" in rep["reason"]
 
     def test_fractional_generator_count_is_input_error(self, capsys, tmp_path):
         # int() would read 2.7 as 2 and report the spectrum of 2 generators
@@ -81,15 +80,14 @@ class TestMilnorCommands:
         assert "must be an integer" in rep["reason"] and "2.7" in rep["reason"]
 
     def test_obstruct_without_input_is_input_error(self, capsys):
-        code, out = run(capsys, "milnor", "obstruct", "--n", "5")
+        code, out = run(capsys, "milnor", "obstruct")
         assert code == 1
         rep = json.loads(out)
-        assert rep["error"] == "ValueError"
-        assert "--spectrum" in rep["reason"] and "--presentation" in rep["reason"]
+        assert rep == {"error": "ValueError", "reason": "milnor obstruct needs --spectrum"}
 
     def test_empty_spectrum_is_input_error(self, capsys):
         # no values means n = -1, which used to pass the length check
-        for argv in (["--spectrum", ","], ["--n", "-1", "--spectrum", " "]):
+        for argv in (["--spectrum", ","], ["--spectrum", " "]):
             code, out = run(capsys, "milnor", "obstruct", *argv)
             assert code == 1
             rep = json.loads(out)
@@ -180,6 +178,21 @@ class TestParser:
         # each call parses into a fresh namespace: --full does not stick
         assert outs[0] == outs[2] != outs[1]
         assert all(code == 0 for code, _ in outs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology", "tower", "--tower", "t.json", "--max-q", "0"],
+            ["milnor", "obstruct", "--n", "5", "--spectrum", "5,0,1,0,1,0"],
+            ["milnor", "obstruct", "--presentation", "p.json"],
+        ],
+        ids=["tower-max-q", "obstruct-n", "obstruct-presentation"],
+    )
+    def test_removed_options_are_unknown(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestHomologyCommands:
@@ -291,15 +304,6 @@ class TestHomologyCommands:
         rep = json.loads(out)
         assert rep["ranks"] == [1, 3, 2]
         assert rep["tor"]["0"]["torsion"] == ["-1 + t"]
-
-    def test_tower_negative_max_q_is_input_error(self, capsys, tmp_path):
-        tw = write(tmp_path, "t.json", {"exponents": [2, 1]})
-        code, out = run(capsys, "homology", "tower", "--tower", tw, "--max-q", "-3")
-        assert code == 1
-        rep = json.loads(out)
-        assert rep["error"] == "ValueError" and "--max-q" in rep["reason"]
-        code, out = run(capsys, "homology", "tower", "--tower", tw, "--max-q", "0")
-        assert code == 0 and list(json.loads(out)["tor"]) == ["0"]
 
     def test_invalid_tower_same_report_from_both_commands(self, capsys, tmp_path):
         bad = {
@@ -590,20 +594,30 @@ class TestMalformedFiles:
              "ranks must be a JSON list"),
             (("chain", "iso", "--a", "@", "--b", "@"), {"ring": 5, "ranks": [1], "boundaries": []},
              "ring must be a JSON string"),
-            (("arr", "betti", "--arrangement", "@"), dict(GENERIC5, labels=5),
-             "labels must be a JSON list"),
             (("milnor", "spectrum", "--presentation", "@"),
              {"generators": 2, "relators": [], "names": 5, "meridians": True},
              "names must be a JSON list"),
             (("milnor", "spectrum", "--presentation", "@"),
              {"generators": 2, "relators": [], "meridians": "no"},
              "meridians must be a JSON boolean"),
+            (("milnor", "spectrum", "--presentation", "@"),
+             {"generators": True, "relators": [], "meridians": True},
+             "the generator count must be an integer, got True"),
+            (("chain", "iso", "--a", "@", "--b", "@"),
+             {"ring": "Z", "ranks": [1, 1], "boundaries": [[True]]},
+             "boundary 1: a JSON boolean is not a scalar"),
+            (("arr", "betti", "--arrangement", "@"),
+             {"r": 3, "forms": [[1, 0, 0], [True, 1, 1], [1, 2, 4], [1, 3, 9]]},
+             "forms must be a list of coefficient lists"),
+            (("milnor", "spectrum", "--presentation", "@"),
+             {"generators": 2, "relators": ["x1 x2"]}, "bad word syntax at '1x2'"),
         ],
         ids=["arrangement-list", "fox-list", "milnor-list", "tower-list", "complex-list",
              "monodromy", "monodromy-level", "tower-generators", "tower-weights",
              "boundary-entry", "tower-exponents", "tower-level-names", "complex-ranks",
-             "complex-ring", "arrangement-labels", "presentation-names",
-             "presentation-meridians"],
+             "complex-ring", "presentation-names",
+             "presentation-meridians", "presentation-boolean-count", "complex-boolean-entry",
+             "arrangement-boolean-entry", "named-word-without-names"],
     )
     def test_input_error_not_traceback(self, capsys, tmp_path, argv, payload, reason):
         path = write(tmp_path, "bad.json", payload)

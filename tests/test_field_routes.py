@@ -153,25 +153,6 @@ class TestFoxAssembly:
                 for j in range(n):
                     assert d2[j, k] == specialize(fox_derivative(r, j), units, ring)
 
-    def test_one_inverse_per_distinct_unit(self, rnd, monkeypatch):
-        K = CyclotomicField(7)
-        calls = []
-        unit_inverse = K.unit_inverse
-
-        def counted(u):
-            calls.append(u)
-            return unit_inverse(u)
-
-        monkeypatch.setattr(K, "unit_inverse", counted)
-        pres = conjugated_commutators(rnd, 4, 3)
-        for units, distinct in (([K.zeta(3)] * 4, 1), ([K.zeta(1), K.zeta(2)] * 2, 2)):
-            calls.clear()
-            d2 = alexander_complex(pres, units, K).boundary(2)
-            assert len(calls) == distinct
-            for k, r in enumerate(pres.relators):
-                for j in range(4):
-                    assert d2[j, k] == specialize(fox_derivative(r, j), units, K)
-
     def test_first_surviving_relator_named(self):
         L = LaurentRing(QQ)
         t = L.t()

@@ -44,6 +44,14 @@ class TestWords:
         assert FreeWord.parse("aa-1") == FreeWord()
         assert FreeWord.parse("x1 x2-1", names=["x1", "x2"]).letters == (1, -2)
 
+    def test_spaces_are_ignored_without_names(self):
+        assert FreeWord.parse("ab a-1 b-1") == FreeWord.parse("aba-1b-1")
+        assert FreeWord.parse(" a\tb-1 ") == FreeWord.parse("ab-1")
+
+    def test_named_tokens_need_names(self):
+        with pytest.raises(ValueError, match="bad word syntax"):
+            FreeWord.parse("x1 x2")
+
     def test_inverse(self):
         w = FreeWord.parse("ab-1c")
         assert (w * w.inverse()) == FreeWord()

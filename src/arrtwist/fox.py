@@ -61,8 +61,8 @@ class FreeWord:
 
     @classmethod
     def parse(cls, text, names=None):
-        """Parse compact one-letter syntax ('aba-1b-1', whitespace ignored)
-        or, with ``names`` giving the generator order, space-separated
+        """Parse compact one-letter syntax ('aba-1b-1', letters a-z,
+        whitespace ignored) or, with ``names`` giving the generator order, space-separated
         named tokens ('x1 x2-1')."""
         if not isinstance(text, str):
             raise ValueError(f"a word must be a string, got {text!r}")
@@ -84,9 +84,9 @@ class FreeWord:
         i = 0
         while i < len(text):
             ch = text[i]
-            if not ch.isalpha():
+            if not "a" <= ch <= "z":
                 raise ValueError(f"bad word syntax at {text[i:]!r}")
-            idx = ord(ch.lower()) - ord("a")
+            idx = ord(ch) - ord("a")
             i += 1
             if text[i : i + 2] == "-1":
                 letters.append(-(idx + 1))

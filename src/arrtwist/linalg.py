@@ -2,20 +2,22 @@
 
 One elimination per kind of ring.  Over a field, :func:`rank` is Gaussian
 elimination with one inverse per pivot.  Over Z and K[t,t^-1] every rank,
-divisor chain, inverse and kernel comes from the Smith form: :func:`rank`
-there is the divisor count of :func:`smith_normal_form`.  Smith normal
-forms over a Euclidean ring alternate row echelon passes on the working
-array and on its transpose until it is diagonal (Kannan and Bachem), then
-fix the divisor chain once on the diagonal; divisors are reported as
-canonical associates (positive over Z, valuation-0 monic over K[t,t^-1]).
-Each elementary step is written once, as a row step: column steps are row
-steps on the transposed working array, which is transposed once per pass.
-The optional left and right transforms are carried as identity blocks
-beside and below the matrix, so the same steps update them without extra
-code.  :meth:`Matrix.inverse` reads the inverse off the transforms over
-every ring.  Kernel bases come from the right transform, which over a PID
-yields a basis of the kernel of the map of free modules (automatically
-saturated).
+divisor chain and kernel comes from the Smith form: :func:`rank` there is
+the divisor count of :func:`smith_normal_form`.  Smith normal forms over a
+Euclidean ring alternate row echelon passes on the working array and on its
+transpose until it is diagonal (Kannan and Bachem), then fix the divisor
+chain once on the diagonal; divisors are reported as canonical associates
+(positive over Z, valuation-0 monic over K[t,t^-1]).  Each elementary step
+is written once, as a row step: column steps are row steps on the
+transposed working array, which is transposed once per pass.  The optional
+left and right transforms are carried as identity blocks beside and below
+the matrix, so the same steps update them without extra code; only kernel
+bases read them.  Kernel bases come from the right transform, which over a
+PID yields a basis of the kernel of the map of free modules (automatically
+saturated).  :meth:`Matrix.inverse` is one Gauss-Jordan pass on
+``[A | I]`` over every ring, with row steps only: the Euclidean column step
+of the echelon passes leaves the gcd of each column as its pivot, which
+must be a unit.
 
 Matrices are immutable-by-convention dense row-major arrays, except that
 :meth:`Matrix.paste` writes blocks into one still being assembled.  The
@@ -147,17 +149,17 @@ class Matrix:
         self._check_compat(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        # i-k-j order: each nonzero self[i][k] meets the nonzeros of row k
+        # i-k-j order: each nonzero self[i][k] meets the nonzeros of row k,
+        # listed once per product
         z = self.ring.zero
+        support = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.rows]
         out = []
         for row in self.rows:
             acc = [z] * other.ncols
-            for a, orow in zip(row, other.rows):
-                if not a:
-                    continue
-                for j, b in enumerate(orow):
-                    if b:
-                        acc[j] = acc[j] + a * b
+            for a, onz in zip(row, support):
+                if a:
+                    for j, b in onz:
+                        acc[j] = acc[j] + a * b if acc[j] else a * b
             out.append(acc)
         return Matrix._of(self.ring, out, self.nrows, other.ncols)
 
@@ -165,7 +167,7 @@ class Matrix:
     __rmul__ = __mul__
 
     def _check_compat(self, other, same_shape=False):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise MixedRings("matrices over different rings")
         if same_shape and (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
@@ -179,17 +181,35 @@ class Matrix:
         )
 
     def inverse(self):
-        """Exact inverse over any of the rings, ``right * left`` from the
-        Smith form: ``left * self * right`` is the identity exactly when every
-        divisor is a unit (the canonical associate of a unit is 1).  Raises
-        ``ZeroDivisionError`` when the matrix is not invertible over its ring,
-        which over a field means singular."""
-        if self.nrows != self.ncols:
+        """Exact inverse over any of the rings: one Gauss-Jordan pass on
+        ``[self | I]`` with row steps only.  Column by column, the Euclidean
+        column step of :func:`smith_normal_form` leaves the gcd of the
+        entries on and below the diagonal as the pivot; the matrix is
+        invertible exactly when every such gcd is a unit (their product is
+        the determinant, up to a unit).  The pivot row is scaled to 1 and
+        the column cleared above it; the right half is then the inverse.
+        Raises ``ZeroDivisionError`` when the matrix is not invertible over
+        its ring, which over a field means singular."""
+        n = self.nrows
+        if n != self.ncols:
             raise ValueError("only square matrices can be inverted")
-        form = smith_normal_form(self, transforms=True)
-        if form.rank != self.nrows or not all(self.ring.is_unit(d) for d in form.divisors):
-            raise ZeroDivisionError("matrix is not invertible over its ring")
-        return form.right * form.left
+        R = self.ring
+        one = R.one
+        a = [r + e for r, e in zip(self.rows, Matrix.identity(R, n).rows)]
+        for c in range(n):
+            live = [i for i in range(c, n) if a[i][c]]
+            if not live or not R.is_unit(_column_step(R, a, live, c, c, n, one)):
+                raise ZeroDivisionError("matrix is not invertible over its ring")
+            _scale_row(a, c, R.unit_inverse(a[c][c]))
+            prow = a[c]
+            nz = _support(prow)
+            for i in range(c):
+                row = a[i]
+                f = row[c]
+                if f:
+                    for j in nz:
+                        row[j] = row[j] - f * prow[j]
+        return Matrix._of(R, [row[n:] for row in a], n, n)
 
     def format_entries(self):
         return [[self.ring.format(x) for x in r] for r in self.rows]
@@ -235,6 +255,54 @@ def _field_rank(R, a, nr, nc):
                 row[j] = row[j] - f * prow[j]
         r += 1
     return r
+
+
+# Row steps on a working array ``a`` (a list of row lists), shared by the
+# Smith form and the inverse.  ``width`` is the number of leading columns
+# that content scaling reads: the matrix block, not the transforms riding
+# beside it; ``one`` is ``R.one``, read once per elimination.
+
+def _scale_row(a, i, unit):
+    a[i] = [unit * x if x else x for x in a[i]]
+
+
+def _normalize_row(R, a, i, width, one):
+    u = R.content_unit(a[i][:width])
+    if u != one:
+        _scale_row(a, i, u)
+
+
+def _add_row(R, a, dst, src, coef, cols, width, one):
+    """Row ``dst`` += coef * row ``src``; ``cols`` lists the columns where
+    row ``src`` is nonzero."""
+    row, srow = a[dst], a[src]
+    for j in cols:
+        row[j] = row[j] + coef * srow[j]
+    _normalize_row(R, a, dst, width, one)
+
+
+def _support(row):
+    return [j for j, x in enumerate(row) if x]
+
+
+def _column_step(R, a, live, t, c, width, one):
+    """The Euclidean column step of the echelon passes and the inverse.
+    ``live`` lists rows of ``a`` that are nonzero in column ``c``.  A
+    smallest entry among them becomes the pivot, moved to row ``t``, the
+    other rows keep only their remainders, and this repeats until the pivot
+    is alone in its column among them.  Returns the pivot, a gcd of the
+    column entries it started from."""
+    while True:
+        p = min(live, key=lambda i: R.euclid_size(a[i][c]))
+        a[t], a[p] = a[p], a[t]
+        piv = a[t][c]
+        live = [i for i in live if i != t and a[i][c]]
+        if not live:
+            return piv
+        nz = _support(a[t])
+        for i in live:
+            _add_row(R, a, i, t, -R.euclid_divmod(a[i][c], piv)[0], nz, width, one)
+        live = [t] + [i for i in live if a[i][c]]
 
 
 class SmithForm:
@@ -301,51 +369,21 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         a = list(map(list, zip(*a)))
         nr, nc = nc, nr
 
-    def scale_row(i, unit):
-        a[i] = [unit * x if x else x for x in a[i]]
-
-    def normalize_row(i):
-        u = R.content_unit(a[i][:nc])
-        if u != one:
-            scale_row(i, u)
-
-    def add_row(dst, src, coef, cols):
-        # ``cols``: the columns where row ``src`` is nonzero
-        row, srow = a[dst], a[src]
-        for j in cols:
-            row[j] = row[j] + coef * srow[j]
-        normalize_row(dst)
-
-    def support(i):
-        return [j for j, x in enumerate(a[i]) if x]
-
     def echelon(rows, cols):
         """Row echelon form of the block on ``rows`` x ``cols``, one column
-        at a time, with the k-th pivot moved to ``rows[k]``; returns the
-        rank.  A smallest entry of the column below the pivots becomes the
-        pivot, the rows under it keep only their remainders, and this
-        repeats until the pivot is alone in its column.  Canonical (e.g.
-        monic) pivots keep quotient coefficients tame."""
+        at a time by the Euclidean column step, with the k-th pivot moved to
+        ``rows[k]``; returns the rank.  Canonical (e.g. monic) pivots keep
+        quotient coefficients tame."""
         k = 0
         for c in cols:
             live = [i for i in rows[k:] if a[i][c]]
             if not live:
                 continue
             t = rows[k]
-            while True:
-                p = min(live, key=lambda i: R.euclid_size(a[i][c]))
-                a[t], a[p] = a[p], a[t]
-                piv = a[t][c]
-                live = [i for i in live if i != t and a[i][c]]
-                if not live:
-                    break
-                nz = support(t)
-                for i in live:
-                    add_row(i, t, -R.euclid_divmod(a[i][c], piv)[0], nz)
-                live = [t] + [i for i in live if a[i][c]]
+            piv = _column_step(R, a, live, t, c, nc, one)
             can = R.canonical(piv)
             if can != piv:
-                scale_row(t, R.exact_div(can, piv))
+                _scale_row(a, t, R.exact_div(can, piv))
             k += 1
         return k
 
@@ -368,7 +406,7 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         return rk
 
     for i in range(nr):
-        normalize_row(i)
+        _normalize_row(R, a, i, nc, one)
     t = diagonalize(range(nr), range(nc))
 
     # the divisor chain: after pass i, d_i divides every later d_j, and the
@@ -379,7 +417,7 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
             continue
         for j in range(i + 1, t):
             if a[j][j] != a[i][i] and not R.is_zero(R.euclid_divmod(a[j][j], a[i][i])[1]):
-                add_row(i, j, one, support(j))
+                _add_row(R, a, i, j, one, _support(a[j]), nc, one)
                 diagonalize([i, j], [i, j])
 
     divisors = [R.canonical(a[k][k]) for k in range(t)]
@@ -387,7 +425,7 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         return SmithForm(divisors)
     for k in range(t):
         # scale the row by the unit that canonicalizes the pivot
-        scale_row(k, R.exact_div(divisors[k], a[k][k]))
+        _scale_row(a, k, R.exact_div(divisors[k], a[k][k]))
     return SmithForm(
         divisors,
         left=Matrix._of(R, [row[nc:] for row in a[:nr]], nr, nr),

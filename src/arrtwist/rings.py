@@ -433,11 +433,7 @@ class LaurentPoly:
 
     def __init__(self, base, coeffs):
         self.base = base
-        self.coeffs = {
-            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for e, c in coeffs.items()
-            if c
-        }
+        self.coeffs = {e: _demote(c) for e, c in coeffs.items() if c}
 
     @classmethod
     def t(cls, base, exponent=1):
@@ -447,6 +443,17 @@ class LaurentPoly:
     @classmethod
     def const(cls, base, c):
         return cls(base, {0: base.coerce(c)})
+
+    @classmethod
+    def _of(cls, base, coeffs):
+        """A polynomial on ``coeffs`` as given: values already of ``base``,
+        nonzero, and over ``Q`` never an integral ``Fraction``.  The
+        arithmetic below builds its results here, after normalising only
+        the entries it computed; the public constructor normalises all."""
+        p = object.__new__(cls)
+        p.base = base
+        p.coeffs = coeffs
+        return p
 
     def _coerce(self, other):
         if type(other) is LaurentPoly:
@@ -458,40 +465,79 @@ class LaurentPoly:
         except (TypeError, ValueError, MixedRings):
             return NotImplemented
 
+    # ``+``, ``-`` and ``*`` take an operand over the same base object as it
+    # is, without ``_coerce``, and build their result without the
+    # normalising constructor: entries copied from an operand are normalised
+    # already, and each computed entry is dropped when zero or demoted when
+    # an integral Fraction.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return LaurentPoly(self.base, out)
+        if type(other) is not LaurentPoly or other.base is not self.base:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        big, small = self.coeffs, other.coeffs
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for e, c in small.items():
+            if e in out:
+                v = out[e] + c
+                if v:
+                    out[e] = _demote(v)
+                else:
+                    del out[e]
+            else:
+                out[e] = c
+        return LaurentPoly._of(self.base, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.base, {e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._of(self.base, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        if type(other) is not LaurentPoly or other.base is not self.base:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            if e in out:
+                v = out[e] - c
+                if v:
+                    out[e] = _demote(v)
+                else:
+                    del out[e]
+            else:
+                out[e] = -c
+        return LaurentPoly._of(self.base, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+        if type(other) is not LaurentPoly or other.base is not self.base:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial factor is a shift; over a field the products of
+            # nonzero coefficients are nonzero
+            ((k, u),) = a.items()
+            if type(u) is int and u == 1:
+                return LaurentPoly._of(self.base, {e + k: c for e, c in b.items()})
+            return LaurentPoly._of(self.base, {e + k: _demote(u * c) for e, c in b.items()})
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 p = c1 * c2
                 out[e] = out[e] + p if e in out else p
-        return LaurentPoly(self.base, out)
+        return LaurentPoly._of(self.base, {e: _demote(c) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -576,6 +622,11 @@ class LaurentPoly:
         return format_poly_terms(sorted(self.coeffs.items()), "t", self.base)
 
 
+def _demote(c):
+    """``c``, or its numerator when it is an integral ``Fraction``."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def _coeff_inverse(base, c):
     """The inverse of a nonzero Laurent coefficient; the ints 1 and -1 are
     their own inverses, so those stay ints."""
@@ -651,7 +702,7 @@ class Ring:
         return self.one
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.__dict__ == other.__dict__
+        return self is other or (type(self) is type(other) and self.__dict__ == other.__dict__)
 
     def __hash__(self):
         return hash((type(self).__name__, tuple(sorted(self.__dict__.items(), key=lambda kv: kv[0]))))
@@ -858,10 +909,13 @@ class LaurentRing(Ring):
         # Every nonzero scalar of the base field is a unit here, so rows can
         # be rescaled to primitive integer coefficients (primitive-PRS style
         # growth control in Smith reduction): divide by the gcd of the
-        # numerators, multiply by the lcm of the denominators.
+        # numerators, multiply by the lcm of the denominators.  ``values`` are
+        # elements of this ring; only the nonzero ones are read.
         nums, dens = [], []
         for v in values:
-            for c in self.coerce(v).coeffs.values():
+            if not v:
+                continue
+            for c in v.coeffs.values():
                 if type(c) is int:
                     nums.append(c)
                 elif type(c) is Fraction:

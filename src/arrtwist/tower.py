@@ -17,7 +17,11 @@ where iota is the group-ring involution and nu the character.  rho is
 multiplicative, so it extends from generators to arbitrary words using exact
 matrix inverses over K[t,t^-1] for inverse letters; the boundary entries of
 deeper levels are evaluated lazily through chains of such representations
-instead of being held as noncommutative group-ring elements.  Every complex
+instead of being held as noncommutative group-ring elements.  On a one-level
+chain the matrix is read straight off the Fox derivatives, nu of a word
+being t to its weight, and on the empty chain rho(g) is the one monomial
+t^(w(g)); each monodromy word's Fox derivatives are taken once per tower,
+for the validation probes and the build together.  Every complex
 is validated against d . d = 0 at construction; together with the
 specialization checks (t -> 1 ranks, Koszul reduction, degree <= 1 agreement
 with the presentation complex) that gate pins all sign and side conventions.
@@ -26,6 +30,7 @@ with the presentation complex) that gate pins all sign and side conventions.
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations, count, islice
 from math import comb, prod
 
@@ -41,7 +46,7 @@ from .koszul import (
     require_agreement,
 )
 from .linalg import Matrix
-from .rings import LaurentRing, QQ, Refusal, _is_prime
+from .rings import LaurentPoly, LaurentRing, QQ, Refusal, _is_prime
 
 
 class TowerInvalid(ValueError):
@@ -95,6 +100,7 @@ class TowerSpec:
                     raise TowerInvalid(f"monodromy word {w!r} leaves level {j}")
                 parsed.append(word)
             self.monodromy[(j, (i, a))] = parsed
+        self._fox = {}  # (word letters, slot) -> terms of iota(d word / d x_slot)
 
     # -- shape helpers ------------------------------------------------------
 
@@ -121,6 +127,16 @@ class TowerSpec:
     def name(self, gen):
         j, a = gen
         return self.names[j][a]
+
+    def _fox_bar(self, w: FreeWord, r):
+        """The terms (word, coefficient) of iota(d w / d x_r), the group-ring
+        involution of a Fox derivative: computed once per (word, slot) and
+        shared by every evaluator of this tower."""
+        key = (w.letters, r)
+        terms = self._fox.get(key)
+        if terms is None:
+            terms = self._fox[key] = list(fox_derivative(w, r).bar().terms.items())
+        return terms
 
     def poincare_coefficients(self):
         """Coefficients of prod_j (1 + d_j T); entry q is the q-th Betti
@@ -153,7 +169,10 @@ class TowerSpec:
         tmp = cls(exps, names=names)  # names resolved; now parse monodromy
         mono = {}
         for level_key, per_gen in _shaped(data.get("monodromy") or {}, dict, "monodromy").items():
-            j = int(str(level_key).split("_")[-1])
+            level = re.fullmatch(r"level_([0-9]+)", str(level_key))
+            if level is None:
+                raise TowerInvalid(f"bad monodromy key {level_key!r}: expected level_<j>")
+            j = int(level[1])
             for gen_name, words in _shaped(per_gen, dict, f"monodromy {level_key}").items():
                 if gen_name not in tmp.index:
                     raise TowerInvalid(f"unknown generator {gen_name!r} in monodromy")
@@ -264,7 +283,12 @@ class _Evaluator:
 
     A chain (j1, j2, ..., jm) with j1 < j2 < ... denotes: represent on level
     j1, with the matrix entries themselves represented on level j2, and so
-    on; the empty chain is the character t^w.  Block sizes multiply.
+    on; the empty chain is the character t^w, one monomial.  Block sizes
+    multiply.  A one-level chain (J,) is read straight off the Fox
+    derivatives of the monodromy words, entry (r, c) of rho(y) being
+    t^(w(y)) * nu(iota(d alpha_y(x_c) / d x_r)); longer chains evaluate
+    those derivatives' words on the rest of the chain.  Representations
+    and inverses are cached per evaluator, Fox derivatives per tower.
     """
 
     def __init__(self, tw: TowerSpec, ch: TowerCharacter):
@@ -290,24 +314,49 @@ class _Evaluator:
             J, rest = chain[0], chain[1:]
             if gen[0] >= J:
                 raise TowerInvalid(f"{self.tw.name(gen)} cannot act on level {J}")
-            d = self.tw.d(J)
-            s = self.size(rest)
-            images = self.tw.action(J, gen)
-            gen_rest = self.rho_letter(gen, 1, rest)
-            out = Matrix.zero(self.ring, d * s, d * s)
-            for c in range(d):
-                w = images[c]
-                for r in range(d):
-                    gre = fox_derivative(w, r).bar()  # iota(d alpha(x_c) / d x_r)
-                    val = None
-                    for word, coeff in gre.terms.items():
-                        term = self.rho_level_word(word, J, rest)
-                        if coeff != 1:
-                            term = coeff * term
-                        val = term if val is None else val + term
-                    if val is not None:  # a zero derivative leaves a zero block
-                        out.paste(r * s, c * s, val * gen_rest)
+            if rest:
+                out = self._rho_nested(gen, J, rest)
+            else:
+                out = self._rho_one_level(gen, J)
         self._rho_cache[key] = out
+        return out
+
+    def _rho_one_level(self, gen, J) -> Matrix:
+        """rho(gen) on the one-level chain (J,), read off the Fox
+        derivatives: entry (r, c) is t^(w(gen)) * nu(iota(d alpha(x_c) / d x_r)),
+        and nu of a level-J word is t to its weight."""
+        d = self.tw.d(J)
+        weights = [self.ch.of((J, k)) for k in range(d)]
+        shift = self.ch.of(gen)
+        rows = [[None] * d for _ in range(d)]
+        for c, w in enumerate(self.tw.action(J, gen)):
+            for r in range(d):
+                coeffs = {}
+                for word, coeff in self.tw._fox_bar(w, r):
+                    e = shift + sum(weights[x - 1] if x > 0 else -weights[-x - 1]
+                                    for x in word.letters)
+                    coeffs[e] = coeffs.get(e, 0) + coeff
+                rows[r][c] = LaurentPoly(self.ring.base, coeffs)
+        return Matrix(self.ring, rows, d, d)
+
+    def _rho_nested(self, gen, J, rest) -> Matrix:
+        """rho(gen) on the chain (J,) + rest: the block (r, c) is
+        iota(d alpha(x_c) / d x_r) evaluated on ``rest``, times rho(gen) on
+        ``rest``."""
+        d = self.tw.d(J)
+        s = self.size(rest)
+        gen_rest = self.rho_letter(gen, 1, rest)
+        out = Matrix.zero(self.ring, d * s, d * s)
+        for c, w in enumerate(self.tw.action(J, gen)):
+            for r in range(d):
+                val = None
+                for word, coeff in self.tw._fox_bar(w, r):
+                    term = self.rho_level_word(word, J, rest)
+                    if coeff != 1:
+                        term = coeff * term
+                    val = term if val is None else val + term
+                if val is not None:  # a zero derivative leaves a zero block
+                    out.paste(r * s, c * s, val * gen_rest)
         return out
 
     def inverse(self, m: Matrix) -> Matrix:

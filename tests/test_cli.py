@@ -321,6 +321,19 @@ class TestHomologyCommands:
             assert code == 1
             assert json.loads(out) == {"error": "TowerInvalid", "reason": reason}
 
+    @pytest.mark.parametrize("key", ["levelx", "foo_3", "level_2_3"])
+    def test_bad_monodromy_key_names_the_key(self, capsys, tmp_path, key):
+        bad = {
+            "exponents": [2, 1],
+            "generators": {"level_2": ["y1"], "level_3": ["x1", "x2"]},
+            "monodromy": {key: {"y1": ["x1", "x1 x2 x1-1"]}},
+        }
+        code, out = run(capsys, "homology", "tower", "--tower", write(tmp_path, "t.json", bad))
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "TowerInvalid"
+        assert rep["reason"].startswith(f"bad monodromy key {key!r}"), rep
+
 
 class TestWeightsToUnits:
     """Weights become units by one rule: t^w over K[t,t^-1], zeta^w over
@@ -611,13 +624,20 @@ class TestMalformedFiles:
              "forms must be a list of coefficient lists"),
             (("milnor", "spectrum", "--presentation", "@"),
              {"generators": 2, "relators": ["x1 x2"]}, "bad word syntax at '1x2'"),
+            (("milnor", "spectrum", "--presentation", "@"),
+             {"generators": 2, "relators": ["AbA-1B-1"], "meridians": True},
+             "bad word syntax at 'AbA-1B-1'"),
+            (("milnor", "spectrum", "--presentation", "@"),
+             {"generators": 2, "relators": ["éb"], "meridians": True},
+             "bad word syntax at 'éb'"),
         ],
         ids=["arrangement-list", "fox-list", "milnor-list", "tower-list", "complex-list",
              "monodromy", "monodromy-level", "tower-generators", "tower-weights",
              "boundary-entry", "tower-exponents", "tower-level-names", "complex-ranks",
              "complex-ring", "presentation-names",
              "presentation-meridians", "presentation-boolean-count", "complex-boolean-entry",
-             "arrangement-boolean-entry", "named-word-without-names"],
+             "arrangement-boolean-entry", "named-word-without-names", "upper-case-letter",
+             "non-ascii-letter"],
     )
     def test_input_error_not_traceback(self, capsys, tmp_path, argv, payload, reason):
         path = write(tmp_path, "bad.json", payload)

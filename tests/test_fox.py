@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,15 @@ class TestWords:
     def test_named_tokens_need_names(self):
         with pytest.raises(ValueError, match="bad word syntax"):
             FreeWord.parse("x1 x2")
+
+    @pytest.mark.parametrize(
+        "text, rest", [("AbA-1B-1", "AbA-1B-1"), ("éb", "éb"), ("ab-1C", "C")]
+    )
+    def test_letters_are_a_to_z_only(self, text, rest):
+        # upper case used to fold into lower case, and any other alphabetic
+        # character was read as a generator past z
+        with pytest.raises(ValueError, match=re.escape(f"bad word syntax at {rest!r}")):
+            FreeWord.parse(text)
 
     def test_inverse(self):
         w = FreeWord.parse("ab-1c")

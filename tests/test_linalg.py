@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from arrtwist.linalg import Matrix, kernel_basis, rank, smith_normal_form
-from arrtwist.rings import CyclotomicField, LaurentRing, PrimeField, QQ, ZZ
+from arrtwist.rings import CyclotomicField, LaurentRing, PrimeField, QQ, ZZ, ring_from_string
 
 from conftest import bareiss_det, bareiss_rank
 
@@ -54,6 +54,49 @@ def ring_samplers(rnd):
         (K, lambda: sum((rnd.randint(-1, 1) * K.zeta(k) for k in range(2)), K.zero)),
         (L, lambda: random_laurent(rnd, L, 1, 1)),
     )
+
+
+def invertible_cases(rnd):
+    """Seeded invertible matrices of sizes 1..4: random nonsingular ones over
+    Q, F_7 and Q(zeta_5); over Z, Q[t,t^-1] and Q(zeta_4)[t,t^-1], products
+    of elementary matrices, each row then scaled by a unit."""
+    L = LaurentRing(QQ)
+    L4 = ring_from_string("laurent:cyclotomic:4")
+    i4 = L4.coerce(L4.base.zeta())
+
+    def unimodular(ring, n, entry, unit):
+        m = Matrix.identity(ring, n)
+        for _ in range(3 * n if n > 1 else 0):
+            i, j = rnd.sample(range(n), 2)
+            e = Matrix.identity(ring, n)
+            e.rows[i][j] = entry()
+            m = m * e
+        rows = []
+        for row in m.rows:
+            u = unit()
+            rows.append([u * x for x in row])
+        return Matrix(ring, rows, n, n)
+
+    cases = []
+    for ring, gen in ring_samplers(rnd):
+        if ring.is_field:
+            for n in range(1, 5):
+                m = Matrix.zero(ring, n, n)
+                while ring.is_zero(leibniz_det(ring, m.rows)):
+                    m = Matrix(ring, [[gen() for _ in range(n)] for _ in range(n)], n, n)
+                cases.append(m)
+    for n in range(1, 5):
+        cases.append(unimodular(
+            ZZ, n, lambda: rnd.randint(-2, 2), lambda: rnd.choice([1, -1])))
+        cases.append(unimodular(
+            L, n, lambda: rnd.randint(-2, 2) * L.t(rnd.randint(-1, 1)) + rnd.randint(-1, 1),
+            lambda: rnd.choice([1, -2]) * L.t(rnd.randint(-2, 2))))
+        cases.append(unimodular(
+            L4, n, lambda: (rnd.randint(-1, 1) * i4 + rnd.randint(-1, 1)) * L4.t(rnd.randint(-1, 1)),
+            lambda: rnd.choice([i4, 1 - i4]) * L4.t(rnd.randint(-2, 2))))
+    names = {m.ring.name for m in cases}
+    assert names == {"Z", "Q", "F7", "cyclotomic:5", "laurent", "laurent:cyclotomic:4"}
+    return cases
 
 
 class TestRank:
@@ -359,44 +402,51 @@ class TestMatrixInverse:
         assert b * b.inverse() == Matrix.identity(K, 2)
 
     def test_seeded_invertible_over_every_ring(self, rnd):
-        """m * m^-1 == m^-1 * m == I over Q, F_7 and Q(zeta_5) (random
-        nonsingular matrices), and over Z and Q[t,t^-1] (products of
-        elementary matrices, each row then scaled by a unit)."""
-        L = LaurentRing(QQ)
-
-        def unimodular(ring, n, entry, unit):
-            m = Matrix.identity(ring, n)
-            for _ in range(3 * n if n > 1 else 0):
-                i, j = rnd.sample(range(n), 2)
-                e = Matrix.identity(ring, n)
-                e.rows[i][j] = entry()
-                m = m * e
-            rows = []
-            for row in m.rows:
-                u = unit()
-                rows.append([u * x for x in row])
-            return Matrix(ring, rows, n, n)
-
-        cases = []
-        for ring, gen in ring_samplers(rnd):
-            if ring.is_field:
-                for n in range(1, 5):
-                    m = Matrix.zero(ring, n, n)
-                    while ring.is_zero(leibniz_det(ring, m.rows)):
-                        m = Matrix(ring, [[gen() for _ in range(n)] for _ in range(n)], n, n)
-                    cases.append(m)
-        for n in range(1, 5):
-            cases.append(unimodular(
-                ZZ, n, lambda: rnd.randint(-2, 2), lambda: rnd.choice([1, -1])))
-            cases.append(unimodular(
-                L, n, lambda: rnd.randint(-2, 2) * L.t(rnd.randint(-1, 1)),
-                lambda: rnd.choice([1, -2]) * L.t(rnd.randint(-2, 2))))
-        assert {m.ring.name for m in cases} == {"Z", "Q", "F7", "cyclotomic:5", "laurent"}
-        for m in cases:
+        for m in invertible_cases(rnd):
             eye = Matrix.identity(m.ring, m.nrows)
             inv = m.inverse()
             assert m * inv == eye, m
             assert inv * m == eye, m
+
+    def test_gauss_jordan_matches_smith_transforms(self, rnd):
+        """The Gauss-Jordan inverse against ``right * left`` of the Smith
+        form with transforms, the route it replaced."""
+        cases = invertible_cases(rnd)
+        for m in cases:
+            form = smith_normal_form(m, transforms=True)
+            assert m.inverse() == form.right * form.left, m
+
+    def test_smith_is_not_called(self, monkeypatch, rnd):
+        import arrtwist.linalg as linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Matrix.inverse ran a Smith form")
+
+        cases = invertible_cases(rnd)
+        monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+        for m in cases:
+            assert m * m.inverse() == Matrix.identity(m.ring, m.nrows)
+
+    def test_non_unit_determinant(self):
+        L = LaurentRing(QQ)
+        t = L.t()
+        for m in (
+            Matrix(ZZ, [[2, 0], [0, 3]]),
+            Matrix(ZZ, [[1, 0], [1, 2]]),  # unit column gcd, determinant 2
+            Matrix(ZZ, [[1, 2], [3, 5]]) * Matrix(ZZ, [[1, 0], [0, 2]]),  # determinant -2
+            Matrix(L, [[1, 1], [1, t]]),  # determinant t - 1
+            Matrix(L, [[1 + t, t], [t, t * t - 1]]),  # determinant t^3 - t - 1
+        ):
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+        # the same Euclidean steps invert a unimodular matrix of non-units
+        m = Matrix(L, [[1 + t, t], [1, 1]])
+        assert m * m.inverse() == Matrix.identity(L, 2)
+
+    def test_non_square_refused(self):
+        for m in (Matrix(ZZ, [[1, 0]]), Matrix.zero(LaurentRing(QQ), 3, 2)):
+            with pytest.raises(ValueError, match="square"):
+                m.inverse()
 
     def test_singular_over_a_field(self):
         K = CyclotomicField(5)

@@ -388,6 +388,85 @@ class TestLaurentAgainstReference:
         assert [L.format(x) for x in got] == expected
 
 
+
+class TestLaurentFastPaths:
+    """``+``, ``-`` and ``*`` of two polynomials over one base object skip the
+    coercion and the normalising constructor; each result must equal the
+    constructor's normalisation of the schoolbook result, with no zero and
+    (over Q) no integral Fraction among its coefficients."""
+
+    @staticmethod
+    def mixed_q(rnd, terms=5):
+        """Coefficients as given to the arithmetic: ints, integral Fractions
+        (demoted by the constructor) and proper Fractions."""
+        out = {}
+        for _ in range(rnd.randint(0, terms)):
+            c = rnd.choice([rnd.randint(-3, 3), Fraction(rnd.randint(-6, 6), 2),
+                            Fraction(rnd.randint(-3, 3), rnd.choice([1, 3]))])
+            out[rnd.randint(-4, 4)] = c
+        return out
+
+    @staticmethod
+    def operands(rnd, base):
+        if base is QQ:
+            return TestLaurentFastPaths.mixed_q(rnd)
+        return random_ref(rnd, base, terms=5)
+
+    def check(self, got, raw, base):
+        expect = LaurentPoly(base, raw)
+        assert got == expect and got.coeffs == expect.coeffs
+        assert all(c for c in got.coeffs.values()), got.coeffs
+        if base is QQ:
+            assert_int_invariant(got)
+
+    @pytest.mark.parametrize("base", [QQ, F5, CYC3], ids=["Q", "F5", "cyclotomic3"])
+    def test_against_the_normalising_constructor(self, rnd, base):
+        for _ in range(300):
+            ra, rb = self.operands(rnd, base), self.operands(rnd, base)
+            a, b = LaurentPoly(base, ra), LaurentPoly(base, rb)
+            if rnd.random() < 0.3:  # a monomial factor, negative exponents included
+                k = rnd.randint(-5, 5)
+                c = (rnd.choice([1, -1, Fraction(1, 2), Fraction(-2, 3)]) if base is QQ
+                     else random_coeff(rnd, base) or base.one)
+                rb, b = {k: c}, LaurentPoly(base, {k: c})
+            ca, cb = dict(a.coeffs), dict(b.coeffs)
+            self.check(a + b, ref_add(ca, cb), base)
+            self.check(a - b, ref_add(ca, ref_neg(cb)), base)
+            self.check(a * b, ref_mul(ca, cb), base)
+            self.check(b * a, ref_mul(ca, cb), base)
+            self.check(-a, ref_neg(ca), base)
+            assert (a.coeffs, b.coeffs) == (ca, cb)  # operands untouched
+
+    @pytest.mark.parametrize("base", [QQ, F5, CYC3], ids=["Q", "F5", "cyclotomic3"])
+    def test_cancellation_to_zero(self, rnd, base):
+        for _ in range(50):
+            a = LaurentPoly(base, self.operands(rnd, base))
+            for got in (a - a, a + (-a), (-a) + a, a * LaurentPoly(base, {})):
+                assert got.coeffs == {} and not got
+        half = LaurentPoly(QQ, {-2: Fraction(1, 2), 3: Fraction(3, 2)})
+        for got, want in (
+            (half + half, {-2: 1, 3: 3}),
+            (half - LaurentPoly(QQ, {-2: Fraction(-1, 2)}), {-2: 1, 3: Fraction(3, 2)}),
+            (half * LaurentPoly(QQ, {-1: 2}), {-3: 1, 2: 3}),
+            (half * LaurentPoly(QQ, {1: Fraction(2, 3)}), {-1: Fraction(1, 3), 4: 1}),
+            ((half - LaurentPoly.t(QQ, 0)) * (half + half), None),
+        ):
+            assert_int_invariant(got)
+            if want is not None:
+                assert got.coeffs == want
+                assert all(type(got.coeffs[e]) is type(c) for e, c in want.items())
+
+    def test_mixed_bases_still_refused(self):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(MixedRings):
+                op(LaurentPoly.t(QQ), LaurentPoly.t(F5))
+            with pytest.raises(MixedRings):
+                op(LaurentPoly.t(CYC3), LaurentPoly.t(CyclotomicField(4)))
+        # an equal but distinct base object takes the coercing path
+        other = RationalField()
+        assert LaurentPoly.t(QQ) * LaurentPoly.t(other) == LaurentPoly.t(QQ, 2)
+        assert LaurentPoly.t(QQ) - LaurentPoly.t(other) == 0
+
 # -- Q(zeta_d) against Fraction polynomial arithmetic ---------------------------
 # The reference is the Fraction-only layer: Phi_d by division of x^d - 1 over
 # Q, products reduced by general division with remainder, and the inverse by

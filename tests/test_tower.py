@@ -1,17 +1,19 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, prod
 from pathlib import Path
 
 import pytest
 
 from arrtwist import tower
 from arrtwist.chain import decide_isomorphic
-from arrtwist.fox import FreeWord, GroupPresentation, alexander_complex
+from arrtwist.fox import FreeWord, GroupPresentation, alexander_complex, fox_derivative
 from arrtwist.koszul import Disagreement, UnitAssignment, build_koszul
-from arrtwist.linalg import Matrix
+from arrtwist.linalg import Matrix, smith_normal_form
 from arrtwist.rings import LaurentRing, QQ
 from arrtwist.tower import (
     DegreeUnavailable,
@@ -230,6 +232,146 @@ class TestBuildComplex:
         assert boundaries_vanish_at_one(cx)
 
 
+class ReferenceEvaluator:
+    """The Jacobian representations as the evaluator first computed them:
+    every chain, the one-level and the empty one included, evaluated through
+    products of representations on the rest of the chain (1 x 1 matrices at
+    the end), the Fox derivatives taken afresh for every entry, and inverses
+    read off the Smith transforms as ``right * left``."""
+
+    def __init__(self, tw, ch):
+        self.tw, self.ch = tw, ch
+        self.cache = {}
+
+    def size(self, chain):
+        return prod(self.tw.d(j) for j in chain)
+
+    def letter(self, gen, sign, chain):
+        key = (gen, sign, chain)
+        if key in self.cache:
+            return self.cache[key]
+        if not chain:
+            out = Matrix(L, [[L.t(sign * self.ch.of(gen))]])
+        elif sign < 0:
+            form = smith_normal_form(self.letter(gen, 1, chain), transforms=True)
+            assert all(d == L.one for d in form.divisors)
+            out = form.right * form.left
+        else:
+            J, rest = chain[0], chain[1:]
+            d, s = self.tw.d(J), self.size(rest)
+            gen_rest = self.letter(gen, 1, rest)
+            out = Matrix.zero(L, d * s, d * s)
+            for c, w in enumerate(self.tw.action(J, gen)):
+                for r in range(d):
+                    val = None
+                    for word, coeff in fox_derivative(w, r).bar().terms.items():
+                        letters = [((J, abs(x) - 1), 1 if x > 0 else -1) for x in word.letters]
+                        term = coeff * self.word(letters, rest)
+                        val = term if val is None else val + term
+                    if val is not None:
+                        out.paste(r * s, c * s, val * gen_rest)
+        self.cache[key] = out
+        return out
+
+    def word(self, letters, chain):
+        out = Matrix.identity(L, self.size(chain))
+        for gen, sign in letters:
+            out = out * self.letter(gen, sign, chain)
+        return out
+
+
+def chains_above(tw, level):
+    """Every chain (j1 < j2 < ...) of levels above ``level``, the empty one
+    included."""
+    above = [j for j in tw.levels() if j > level]
+    return [c for k in range(len(above) + 1) for c in combinations(above, k)]
+
+
+class TestAssemblyRoutes:
+    def towers(self):
+        yield f2_semi_f1(), [[3], [1, 2]]
+        yield commuting_three_level_tower(), [[1], [2], [3, 4]]
+        for seed in range(40):
+            rnd = random.Random(seed)
+            tw = random_tower(rnd, max_levels=4, max_d=2 if seed % 2 else 3)
+            yield tw, [[rnd.randint(-3, 3) for _ in range(tw.d(j))] for j in tw.levels()]
+
+    def test_every_chain_against_the_reference(self):
+        """rho of every generator and sign on every chain, read by the
+        evaluator (one-level chains off the Fox derivatives, the empty chain
+        as one monomial, Gauss-Jordan inverses) and by the reference."""
+        compared = 0
+        for tw, weights in self.towers():
+            ch = TowerCharacter.from_lists(tw, weights)
+            ev, ref = tower._Evaluator(tw, ch), ReferenceEvaluator(tw, ch)
+            for gen in tw.generators():
+                for chain in chains_above(tw, gen[0]):
+                    for sign in (1, -1):
+                        assert ev.rho_letter(gen, sign, chain) == ref.letter(gen, sign, chain)
+                        compared += 1
+                    if chain:
+                        letters = [(gen, 1), (gen, -1), (gen, -1)]
+                        assert ev.rho_word(letters, chain) == ref.word(letters, chain)
+        assert compared > 800
+
+    @staticmethod
+    def count_smith_transforms(monkeypatch):
+        """Wrap ``smith_normal_form`` wherever the package binds it; the list
+        returned collects the ``transforms`` flag of every call."""
+        import sys
+
+        from arrtwist import linalg
+
+        original, flags = linalg.smith_normal_form, []
+
+        def counted(m, transforms=False):
+            flags.append(transforms)
+            return original(m, transforms)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("arrtwist"):
+                for attr, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        return flags
+
+    def test_builds_run_no_smith_with_transforms(self, monkeypatch):
+        flags = self.count_smith_transforms(monkeypatch)
+        for tw, weights in self.towers():
+            cx = build_tower_complex(tw, TowerCharacter.from_lists(tw, weights))
+            cx.homology(1)
+        # matrix units: commuting Jacobians of one automorphism, inverted once each
+        tw = f2_semi_f1()
+        ch = TowerCharacter.from_lists(tw, [[1], [2, 3]])
+        J = jacobian_rep(tw, 3, "y1", ch)
+        cx = build_koszul(UnitAssignment(L, [J, J * J, L.t(2)]), 3)
+        cx.homology(1)
+        build_koszul(UnitAssignment.from_weights(L, [1, 2, 3, 4]), 4)
+        assert flags and not any(flags)
+
+    def test_one_fox_derivative_per_word_and_slot(self, monkeypatch):
+        calls = []
+        original = tower.fox_derivative
+
+        def counted(w, i):
+            calls.append((w.letters, i))
+            return original(w, i)
+
+        monkeypatch.setattr(tower, "fox_derivative", counted)
+        for tw, weights in self.towers():
+            calls.clear()
+            build_tower_complex(tw, TowerCharacter.from_lists(tw, weights))
+            expect = {
+                (w.letters, r)
+                for J in tw.levels()
+                for gen in tw.generators() if gen[0] < J
+                for w in tw.action(J, gen)
+                for r in range(tw.d(J))
+            }
+            assert len(calls) == len(set(calls)), "a Fox derivative was taken twice"
+            assert set(calls) == expect
+
+
 class TestAssemblyPinned:
     """SHA-256 digests of ``build_tower_complex(...).to_json()``, recorded
     from the assembly that placed every block inside the tower evaluator,
@@ -393,3 +535,14 @@ class TestJson:
         again = TowerSpec.from_json(tw.to_json())
         assert again.exponents == tw.exponents
         assert again.monodromy.keys() == tw.monodromy.keys()
+
+    @pytest.mark.parametrize("key", ["levelx", "foo_3", "level_2_3", "level_", "3"])
+    def test_monodromy_key_is_exactly_level_j(self, key):
+        # "foo_3" and "level_2_3" used to be read as level 3
+        text = json.dumps({
+            "exponents": [2, 1],
+            "generators": {"level_2": ["y1"], "level_3": ["x1", "x2"]},
+            "monodromy": {key: {"y1": ["x1", "x1 x2 x1-1"]}},
+        })
+        with pytest.raises(TowerInvalid, match=re.escape(f"bad monodromy key {key!r}")):
+            TowerSpec.from_json(text)

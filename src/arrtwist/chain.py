@@ -4,10 +4,15 @@ A complex is a finite sequence of free-module ranks together with boundary
 matrices ``d_q : C_q -> C_{q-1}``; the constructor refuses data with
 ``d_q . d_{q+1} != 0``.  Homology is reported as a free rank plus a torsion
 divisor chain (empty over fields).  Each boundary is eliminated at most once
-and the result cached on the complex: over a PID (Z, K[t,t^-1]) by its Smith
-form, whose divisor count is the rank and whose non-unit divisors are the
-torsion; over a field by Gaussian elimination (``linalg.rank``).  Two
-complexes over the same PID with equal rank sequences are isomorphic as
+and the result cached on the complex: over a field by Gaussian elimination
+(``linalg.rank``); over a PID (Z, K[t,t^-1]) by ``linalg.reduce_boundary``,
+whose divisor count is the rank and whose non-unit divisors are the torsion.
+It splits off every pivot that divides its row and column and leaves only
+the rest to a Smith form; the complexes come from minimal CW structures, so
+their boundaries vanish at t = 1 and nearly every pivot splits.  Once
+d_(q-1) is eliminated, d_q is reduced without the rows its split pivots
+pair off (see ``FreeChainComplex._elimination``).  Two complexes over the
+same PID with equal rank sequences are isomorphic as
 chain complexes exactly when the Smith divisor chains of their boundaries
 match degree by degree, which is what :func:`decide_isomorphic` checks.
 :func:`extend_by_free` is the one assembly step of both the Koszul and the
@@ -20,7 +25,7 @@ import json
 from numbers import Real
 
 from .rings import Ring, MixedRings, ring_from_string
-from .linalg import Matrix, rank, smith_normal_form
+from .linalg import Matrix, rank, reduce_boundary
 
 
 class DegreeOutOfRange(IndexError):
@@ -133,21 +138,30 @@ class FreeChainComplex:
         return Matrix.zero(self.ring, target, source)
 
     def _elimination(self, q):
-        """(rank, non-unit Smith divisors) of d_q, computed on first use.
+        """(rank, non-unit Smith divisors, split columns) of d_q, computed
+        on first use.
 
-        Over a field the divisors are empty and the rank is Gaussian; over a
-        PID one Smith form gives both.  Zero maps outside 1..top need none.
+        Over a field the divisors are empty and the rank is Gaussian.  Over
+        a PID :func:`~arrtwist.linalg.reduce_boundary` gives both, and the
+        columns whose pivots it split off.  Splitting the pivot p = d_q[b][a]
+        is a change of basis x -> x - (d_q[b][x] / p) * a of C_q; since
+        d_q . d_(q+1) = 0, row a of d_(q+1) is zero in the new basis.  So
+        once d_q is eliminated, d_(q+1) is reduced without the rows of
+        d_q's split columns, and its divisors stay the same.  Zero maps
+        outside 1..top need no elimination.
         """
         if not 1 <= q <= self.top:
-            return 0, ()
+            return 0, (), frozenset()
         found = self._eliminations[q - 1]
         if found is None:
             d = self.boundaries[q - 1]
             if self.ring.is_field:
-                found = (rank(d), ())
+                found = (rank(d), (), frozenset())
             else:
-                form = smith_normal_form(d)
-                found = (form.rank, form.nontrivial(self.ring))
+                below = self._eliminations[q - 2] if q > 1 else None
+                divisors, split = reduce_boundary(d, below[2] if below else frozenset())
+                torsion = tuple(x for x in divisors if not self.ring.is_unit(x))
+                found = (len(divisors), torsion, split)
             self._eliminations[q - 1] = found
         return found
 
@@ -157,7 +171,7 @@ class FreeChainComplex:
 
     def cokernel(self, q) -> Homology:
         """Free rank and torsion of coker d_q = C_(q-1) / im d_q."""
-        rk, torsion = self._elimination(q)
+        rk, torsion, _ = self._elimination(q)
         target = self.ranks[q - 1] if 0 <= q - 1 <= self.top else 0
         return Homology(target - rk, torsion)
 
@@ -167,12 +181,14 @@ class FreeChainComplex:
         free rank = ranks[q] - rank d_q - rank d_{q+1}; the torsion divisors
         are the non-unit Smith divisors of d_{q+1}.  Both come from the
         cached elimination of each boundary, so the homology of every degree
-        eliminates each boundary once in total.
+        eliminates each boundary once in total; d_q goes first, so that
+        d_(q+1) is reduced without the rows d_q pairs off.
         """
         if not 0 <= q <= self.top:
             raise DegreeOutOfRange(f"degree {q} not in 0..{self.top}")
-        rank_next, torsion = self._elimination(q + 1)
-        return Homology(self.ranks[q] - self.boundary_rank(q) - rank_next, torsion)
+        rk = self.boundary_rank(q)
+        rank_next, torsion, _ = self._elimination(q + 1)
+        return Homology(self.ranks[q] - rk - rank_next, torsion)
 
     def tensor_substitute(self, target_ring, entry_map):
         """A new complex over ``target_ring`` with every boundary entry sent
@@ -274,7 +290,7 @@ def _divisor_chain(c: FreeChainComplex, q):
     """The formatted Smith divisor chain of d_q, read off the cached
     elimination: a unit divisor (canonically 1) per rank not carried by
     torsion, then the torsion divisors."""
-    rk, torsion = c._elimination(q)
+    rk, torsion, _ = c._elimination(q)
     ring = c.ring
     return [ring.format(ring.one)] * (rk - len(torsion)) + [ring.format(d) for d in torsion]
 

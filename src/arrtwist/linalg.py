@@ -3,7 +3,10 @@
 One elimination per kind of ring.  Over a field, :func:`rank` is Gaussian
 elimination with one inverse per pivot.  Over Z and K[t,t^-1] every rank,
 divisor chain and kernel comes from the Smith form: :func:`rank` there is
-the divisor count of :func:`smith_normal_form`.  Smith normal forms over a
+the divisor count of :func:`smith_normal_form`.  A chain complex's
+boundaries go through :func:`reduce_boundary` instead, which splits off
+each pivot that divides its row and column on sparse rows and leaves only
+the rest to the Smith form.  Smith normal forms over a
 Euclidean ring alternate row echelon passes on the working array and on its
 transpose until it is diagonal (Kannan and Bachem), then fix the divisor
 chain once on the diagonal; divisors are reported as canonical associates
@@ -28,6 +31,8 @@ only, and results built here skip the coercing public constructor
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .rings import Ring, MixedRings
 
@@ -321,9 +326,20 @@ class SmithForm:
         self.left = left
         self.right = right
 
-    def nontrivial(self, ring):
-        """The non-unit divisors (the torsion-carrying part of the chain)."""
-        return tuple(d for d in self.divisors if not ring.is_unit(d))
+
+def _divisor_chain(R, diag, gcd_lcm):
+    """Turn the nonzero diagonal ``diag`` into a divisor chain d_1 | d_2 |
+    ... in place: wherever d_i fails to divide d_j (i < j), ``gcd_lcm(i,
+    j)`` returns (gcd, lcm) of the pair up to units.  After pass i, d_i
+    divides every later d_j, and the (gcd, lcm) steps of later passes keep
+    that true; so an equal d_j needs no division, and a d_i equal to d_(i-1)
+    no pass."""
+    for i in range(len(diag)):
+        if R.is_unit(diag[i]) or i and diag[i] == diag[i - 1]:
+            continue
+        for j in range(i + 1, len(diag)):
+            if diag[j] != diag[i] and not R.is_zero(R.euclid_divmod(diag[j], diag[i])[1]):
+                diag[i], diag[j] = gcd_lcm(i, j)
 
 
 def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
@@ -409,17 +425,12 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         _normalize_row(R, a, i, nc, one)
     t = diagonalize(range(nr), range(nc))
 
-    # the divisor chain: after pass i, d_i divides every later d_j, and the
-    # (gcd, lcm) steps of later passes keep that true; an equal d_j needs
-    # no division
-    for i in range(t):
-        if R.is_unit(a[i][i]):
-            continue
-        for j in range(i + 1, t):
-            if a[j][j] != a[i][i] and not R.is_zero(R.euclid_divmod(a[j][j], a[i][i])[1]):
-                _add_row(R, a, i, j, one, _support(a[j]), nc, one)
-                diagonalize([i, j], [i, j])
+    def gcd_lcm(i, j):
+        _add_row(R, a, i, j, one, _support(a[j]), nc, one)
+        diagonalize([i, j], [i, j])
+        return a[i][i], a[j][j]
 
+    _divisor_chain(R, [a[k][k] for k in range(t)], gcd_lcm)
     divisors = [R.canonical(a[k][k]) for k in range(t)]
     if not transforms:
         return SmithForm(divisors)
@@ -431,6 +442,84 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         left=Matrix._of(R, [row[nc:] for row in a[:nr]], nr, nr),
         right=Matrix._of(R, [row[:nc] for row in a[nr:]], nc, nc),
     )
+
+
+def reduce_boundary(m: Matrix, drop=frozenset()):
+    """(divisor chain, split columns) of ``m`` with the rows ``drop``
+    deleted, over Z or K[t,t^-1].
+
+    An entry p = m[b][a] that divides every entry of its row and its column
+    splits off: exact row steps clear column a, column steps would then
+    clear row b without touching any other entry, so m is equivalent to
+    p (+) the rest with row b and column a deleted.  Entries are tried
+    smallest first, and among equals the one whose column had the fewest
+    entries when it was queued (the fewest rows to clear); one that fails
+    the test is skipped, and is tried again only when a row step changes
+    it.  What is left when none qualifies goes to :func:`smith_normal_form`,
+    and the (gcd, lcm) pass fixes the divisor chain of the split pivots and
+    the residual divisors.  Rows are held sparse, as ``{column: entry}``,
+    inside this routine only.
+
+    The boundaries of a minimal complex vanish at t = 1, so each entry, and
+    each entry a row step makes, is a multiple of t - 1: an entry that is
+    a unit times t - 1 splits at once.  On the Koszul, tower and Alexander
+    complexes nearly every pivot splits, and the residual stays small.
+    """
+    R = m.ring
+    size = R.euclid_size
+    rows = {i: {j: x for j, x in enumerate(row) if x}
+            for i, row in enumerate(m.rows) if i not in drop}
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [(size(x), len(cols[j]), i, j) for i, row in rows.items() for j, x in row.items()]
+    heapify(heap)
+    pivots, split = [], []
+    while heap:
+        s, _, b, a = heappop(heap)
+        prow = rows.get(b)
+        if prow is None or a not in prow or size(prow[a]) != s:
+            continue  # row b split off, or entry (b, a) changed since
+        p = prow[a]
+        if not R.is_unit(p) and any(R.euclid_divmod(x, p)[1] for x in prow.values()):
+            continue
+        quotients = [(i, R.euclid_divmod(rows[i][a], p)) for i in cols[a] if i != b]
+        if any(r for _, (_, r) in quotients):
+            continue
+        rest = [(j, x) for j, x in prow.items() if j != a]
+        for i, (f, _) in quotients:
+            row = rows[i]
+            del row[a]
+            for j, x in rest:
+                v = row[j] - f * x if j in row else -(f * x)
+                if v:
+                    row[j] = v
+                    cols[j].add(i)
+                    heappush(heap, (size(v), len(cols[j]), i, j))
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        for j, _ in rest:
+            cols[j].discard(b)
+        del rows[b], cols[a]
+        pivots.append(R.canonical(p))
+        split.append(a)
+    left = [row for row in rows.values() if row]
+    if left:
+        keep = sorted({j for row in left for j in row})
+        z = R.zero
+        residual = Matrix._of(R, [[row.get(j, z) for j in keep] for row in left],
+                              len(left), len(keep))
+        pivots += smith_normal_form(residual).divisors
+    pivots.sort(key=size)
+
+    def gcd_lcm(i, j):
+        g = R.gcd(pivots[i], pivots[j])
+        return g, R.canonical(R.exact_div(pivots[i] * pivots[j], g))
+
+    _divisor_chain(R, pivots, gcd_lcm)
+    return tuple(pivots), frozenset(split)
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -361,8 +361,10 @@ class _Evaluator:
 
     def inverse(self, m: Matrix) -> Matrix:
         """``m.inverse()``, computed once per distinct matrix content: equal
-        Jacobians recur under different generators and chains."""
-        key = tuple(map(tuple, m.rows))
+        Jacobians recur under different generators and chains.  Every entry
+        is over this evaluator's ring, so its sorted terms identify it and
+        the key hashes no ring."""
+        key = tuple(tuple(tuple(sorted(x.coeffs.items())) for x in row) for row in m.rows)
         if key not in self._inverse_cache:
             self._inverse_cache[key] = m.inverse()
         return self._inverse_cache[key]

@@ -220,8 +220,9 @@ class TestDecideIsomorphicCached:
 
     def test_second_call_runs_no_smith_form(self, monkeypatch):
         calls = []
-        real = chain.smith_normal_form
-        monkeypatch.setattr(chain, "smith_normal_form", lambda m: calls.append(m) or real(m))
+        real = chain.reduce_boundary
+        monkeypatch.setattr(chain, "reduce_boundary",
+                            lambda m, drop: calls.append(m) or real(m, drop))
         a, b = self.pairs()[4]
         first = decide_isomorphic(a, b)
         assert calls

@@ -1,13 +1,16 @@
 """One cached elimination per boundary.
 
 ``FreeChainComplex`` ranks a boundary over Z and K[t,t^-1] by the divisor
-count of its Smith form, as ``linalg.rank`` does there; the fraction-free
-Bareiss rank of ``conftest`` is the independent route these tests hold it
-against.  The call-count tests pin the reuse: no command eliminates the
+count of ``linalg.reduce_boundary``; the fraction-free Bareiss rank of
+``conftest`` and fresh Smith forms are the independent routes these tests
+hold it against, on Koszul, tower, Alexander and scrambled complexes over
+four rings.  The call-count tests pin the reuse: no command reduces the
 same boundary twice, builds the Z^n complex twice or past the degrees it
-reads, or validates a tower twice.
+reads, or validates a tower twice, and the towers whose Smith forms blew up
+leave at most small residuals.
 """
 
+import hashlib
 import json
 import sys
 from math import comb, gcd
@@ -17,7 +20,7 @@ import pytest
 from arrtwist.arrangement import Arrangement, Character
 from arrtwist.chain import FreeChainComplex, Homology
 from arrtwist.cli import build_parser, main
-from arrtwist.fox import GroupPresentation
+from arrtwist.fox import GroupPresentation, alexander_complex
 from arrtwist.koszul import (
     Disagreement,
     UnitAssignment,
@@ -25,11 +28,11 @@ from arrtwist.koszul import (
     complete_homology_generic_position,
     pi_p_presentation_boolean,
 )
-from arrtwist.linalg import Matrix, rank, smith_normal_form
-from arrtwist.rings import QQ, ZZ, LaurentRing
+from arrtwist.linalg import Matrix, rank, reduce_boundary, smith_normal_form
+from arrtwist.rings import QQ, ZZ, LaurentRing, ring_from_string
 from arrtwist.tower import boolean_pi_rank, build_tower_complex, check_tower
 
-from conftest import bareiss_rank, random_tower, random_tower_character
+from conftest import bareiss_rank, conjugated_commutators, random_tower, random_tower_character
 
 L = LaurentRing(QQ)
 
@@ -51,7 +54,8 @@ def bareiss_homology(cx, q):
     free = cx.ranks[q] - bareiss_rank(cx.boundary(q)) - bareiss_rank(cx.boundary(q + 1))
     if cx.ring.is_field or q == cx.top:
         return Homology(free)
-    return Homology(free, smith_normal_form(cx.boundary(q + 1)).nontrivial(cx.ring))
+    divisors = smith_normal_form(cx.boundary(q + 1)).divisors
+    return Homology(free, (d for d in divisors if not cx.ring.is_unit(d)))
 
 
 def assert_routes_agree(cx):
@@ -103,8 +107,8 @@ class TestRankRoutes:
     def test_field_complex_keeps_bareiss(self, monkeypatch):
         cx = build_koszul(UnitAssignment(QQ, [1, 1, 1]))
         monkeypatch.setattr(
-            "arrtwist.chain.smith_normal_form",
-            lambda m: pytest.fail("Smith form over a field"),
+            "arrtwist.chain.reduce_boundary",
+            lambda m, drop: pytest.fail("Smith form over a field"),
         )
         assert [cx.homology(q).free_rank for q in range(4)] == [1, 3, 3, 1]
 
@@ -198,13 +202,15 @@ COMMUTATIVE_5 = {
 class TestOneEliminationPerBoundary:
     @pytest.fixture
     def counted(self, monkeypatch):
-        smith = _count_calls(monkeypatch, smith_normal_form)
+        reductions = _count_calls(monkeypatch, reduce_boundary)
         builds = _count_calls(monkeypatch, build_koszul)
         ranks = _count_calls(monkeypatch, rank)
-        yield smith, builds
+        smith = _count_calls(monkeypatch, smith_normal_form)
+        yield reductions, builds
         full = builds[0][1]
-        # Laurent ranks come from the cached Smith forms: rank never runs on them
-        assert not [m for m, _ in ranks if any(m is d for d in full.boundaries)]
+        # Laurent ranks come from the cached reductions: neither rank nor a
+        # Smith form runs on a boundary itself
+        assert not [m for m, _ in ranks + smith if any(m is d for d in full.boundaries)]
 
     def _run(self, capsys, tmp_path, *argv):
         arr = tmp_path / "a.json"
@@ -216,20 +222,20 @@ class TestOneEliminationPerBoundary:
         capsys.readouterr()
         assert code == 0
 
-    def _assert_once_per_boundary(self, smith, builds):
-        prints = [_fingerprint(m) for m, _ in smith]
+    def _assert_once_per_boundary(self, reductions, builds):
+        prints = [_fingerprint(m) for m, _ in reductions]
         assert len(prints) == len(set(prints))
         assert len(builds) == 1
         full = builds[0][1]
-        koszul = [m for m, _ in smith if any(m is d for d in full.boundaries)]
+        koszul = [m for m, _ in reductions if any(m is d for d in full.boundaries)]
         assert 0 < len(koszul) <= full.top
 
     @pytest.mark.parametrize("weights", ["-6,1,1,2,1,1", "0,0,0,0,0,0"])
     def test_homology_full(self, capsys, tmp_path, counted, weights):
-        smith, builds = counted
+        reductions, builds = counted
         self._run(capsys, tmp_path, "homology", "koszul", "--arrangement", "@arr",
                   f"--weights={weights}", "--full")
-        self._assert_once_per_boundary(smith, builds)
+        self._assert_once_per_boundary(reductions, builds)
 
     @pytest.mark.parametrize(
         "argv",
@@ -242,9 +248,9 @@ class TestOneEliminationPerBoundary:
         ],
     )
     def test_pi_rank_and_crosscheck(self, capsys, tmp_path, counted, argv):
-        smith, builds = counted
+        reductions, builds = counted
         self._run(capsys, tmp_path, *argv)
-        self._assert_once_per_boundary(smith, builds)
+        self._assert_once_per_boundary(reductions, builds)
 
 
 GENERIC_R3_N6 = {
@@ -309,3 +315,223 @@ def test_seed_flag_is_gone():
     assert "--seed" not in build_parser().format_help()
     with pytest.raises(SystemExit):
         main(["--seed", "1", "arr", "girth", "--arrangement", "x.json"])
+
+
+# -- the split-pivot reduction against the Smith form ----------------------
+
+LQ, LF5, LC3 = (ring_from_string(s) for s in ("laurent", "laurent:F5", "laurent:cyclotomic:3"))
+REDUCTION_RINGS = [ZZ, LQ, LF5, LC3]
+
+
+def from_laurent(R):
+    """The ring map Z[t,t^-1] -> R on integer-coefficient entries: t -> t
+    over a Laurent ring, t -> -1 over Z."""
+    if R is ZZ:
+        return lambda x: sum(c * (-1) ** (e % 2) for e, c in x.coeffs.items())
+    return lambda x: sum((R.t(e) * c for e, c in x.coeffs.items()), R.zero)
+
+
+def random_units(rnd, R, n):
+    if R is ZZ:
+        return [rnd.choice([1, -1]) for _ in range(n)]
+    return [R.t(rnd.randint(-2, 2)) for _ in range(n)]
+
+
+def small_elements(R):
+    """Non-unit pivots and unimodular step coefficients over R."""
+    if R is ZZ:
+        return [2, 3, 4, 6, -9], [1, -1, 2, -3]
+    t, one = R.t(), R.one
+    return [t - 1, t + 1, t * t - 1, (t - 1) * (t - 1), t * t + t + one], [one, -one, t, one - t]
+
+
+def unimodular(rnd, R, n, coefs):
+    """A random product of elementary row additions, and its inverse."""
+    u = Matrix.identity(R, n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rnd.sample(range(n), 2)
+        e = Matrix.identity(R, n)
+        e.rows[i][j] = R.coerce(rnd.choice(coefs))
+        u = e * u
+    return u, u.inverse()
+
+
+def scrambled_complex(rnd, R, top=3):
+    """A direct sum of pieces R --v--> R in random degrees and of free
+    summands, with each C_q then changed by a random unimodular matrix, so
+    that entries need not divide their rows and columns."""
+    values, coefs = small_elements(R)
+    pieces = [(rnd.randint(1, top), R.coerce(rnd.choice(values))) for _ in range(rnd.randint(2, 7))]
+    ranks = [0] * (top + 1)
+    for q in (rnd.randint(0, top) for _ in range(rnd.randint(0, 2))):
+        ranks[q] += 1
+    placed = []
+    for q, v in pieces:
+        placed.append((q, ranks[q], ranks[q - 1], v))
+        ranks[q] += 1
+        ranks[q - 1] += 1
+    bnds = [Matrix.zero(R, ranks[q - 1], ranks[q]) for q in range(1, top + 1)]
+    for q, src, dst, v in placed:
+        bnds[q - 1].rows[dst][src] = v
+    change = [unimodular(rnd, R, n, coefs) for n in ranks]
+    bnds = [change[q - 1][0] * d * change[q][1] for q, d in enumerate(bnds, start=1)]
+    return FreeChainComplex(R, ranks, bnds)
+
+
+def seeded_complexes(rnd, R):
+    """Koszul, tower, Alexander and scrambled complexes over R."""
+    out = []
+    for n in (2, 3, 4):
+        out.append(build_koszul(UnitAssignment(R, random_units(rnd, R, n))))
+    for _ in range(3):
+        tw = random_tower(rnd)
+        cx = build_tower_complex(tw, random_tower_character(rnd, tw))
+        out.append(cx.tensor_substitute(R, from_laurent(R)) if R is not LQ else cx)
+    for _ in range(3):
+        n = rnd.randint(2, 4)
+        pres = conjugated_commutators(rnd, n, rnd.randint(1, 4))
+        out.append(alexander_complex(pres, random_units(rnd, R, n), R))
+    out.extend(scrambled_complex(rnd, R) for _ in range(6))
+    return out
+
+
+def smith_homology(cx, q):
+    """H_q from fresh Smith forms of d_q and d_(q+1)."""
+    below, above = (smith_normal_form(cx.boundary(k)).divisors for k in (q, q + 1))
+    free = cx.ranks[q] - len(below) - len(above)
+    return Homology(free, (d for d in above if not cx.ring.is_unit(d)))
+
+
+class TestReduceBoundary:
+    @pytest.mark.parametrize("R", REDUCTION_RINGS, ids=lambda R: R.name)
+    def test_chains_with_split_rows_dropped_are_smith_chains(self, rnd, R):
+        """Each d_q reduced without the rows of d_(q-1)'s split columns, as
+        the complex does when asked in ascending order, has the divisor
+        chain of the Smith form of the whole d_q."""
+        dropped = 0
+        for cx in seeded_complexes(rnd, R):
+            split = frozenset()
+            for q in range(1, cx.top + 1):
+                d = cx.boundary(q)
+                divisors, split_next = reduce_boundary(d, split)
+                assert divisors == smith_normal_form(d).divisors, (q, cx.to_json())
+                dropped += len(split)
+                split = split_next
+        assert dropped
+
+    @pytest.mark.parametrize("R", REDUCTION_RINGS, ids=lambda R: R.name)
+    def test_ascending_and_descending_degrees_agree(self, rnd, R):
+        for cx in seeded_complexes(rnd, R):
+            up, down = (FreeChainComplex(R, cx.ranks, cx.boundaries) for _ in range(2))
+            want = [smith_homology(cx, q) for q in range(cx.top + 1)]
+            assert [up.homology(q) for q in range(cx.top + 1)] == want
+            assert [down.homology(q) for q in reversed(range(cx.top + 1))] == want[::-1]
+
+    def test_scrambled_pivots_leave_residuals(self, rnd, monkeypatch):
+        """Some scrambled entries fail the divisibility test, so the
+        residual Smith form runs, and the chains still match."""
+        residuals = _count_calls(monkeypatch, smith_normal_form)
+        for R in REDUCTION_RINGS:
+            for _ in range(4):
+                cx = scrambled_complex(rnd, R)
+                for q in range(1, cx.top + 1):
+                    assert reduce_boundary(cx.boundary(q))[0] == smith_normal_form(cx.boundary(q)).divisors
+        assert {m.ring.name for m, _ in residuals} == {R.name for R in REDUCTION_RINGS}
+
+    def test_a_row_the_pivot_does_not_divide_stays(self):
+        # 2 divides its column but not its row: nothing splits, and the
+        # residual Smith form finds gcd(2, 3) = 1
+        assert reduce_boundary(Matrix(ZZ, [[2, 3]])) == ((1,), frozenset())
+        assert reduce_boundary(Matrix(ZZ, [[2], [3]])) == ((1,), frozenset())
+
+    def test_pivots_out_of_chain_order(self):
+        assert reduce_boundary(Matrix(ZZ, [[3, 0], [0, 2]]))[0] == (1, 6)
+        assert reduce_boundary(Matrix(ZZ, [[2, 0], [0, 3]]))[0] == (1, 6)
+        t = L.t()
+        m = Matrix(L, [[t + 1, L.zero], [L.zero, t - 1]])
+        assert reduce_boundary(m) == ((L.one, t * t - 1), frozenset({0, 1}))
+
+    def test_dropped_rows_are_not_read(self):
+        m = Matrix(ZZ, [[2, 0], [5, 7], [0, 4]])
+        assert reduce_boundary(m, frozenset({1})) == ((2, 4), frozenset({0, 1}))
+
+
+def _vanish_at_one(cx):
+    return all(sum(x.coeffs.values()) == 0 for d in cx.boundaries for row in d.rows for x in row)
+
+
+class TestMinimality:
+    """The complexes come from minimal CW structures, so every boundary
+    vanishes under the augmentation t -> 1 (epsilon . d = 0); this is why
+    every pivot of their reductions splits."""
+
+    def test_koszul_boundaries_vanish_at_one(self, rnd):
+        for n in range(1, 7):
+            cx = build_koszul(UnitAssignment(L, random_units(rnd, L, n)))
+            assert _vanish_at_one(cx)
+
+    def test_tower_boundaries_vanish_at_one(self, rnd):
+        for _ in range(12):
+            tw = random_tower(rnd, max_levels=4)
+            assert _vanish_at_one(build_tower_complex(tw, random_tower_character(rnd, tw)))
+
+    def test_an_augmented_boundary_is_seen(self):
+        L1 = FreeChainComplex(L, [1, 1], [Matrix(L, [[L.t() + 1]])])
+        assert not _vanish_at_one(L1)
+
+
+def _conjugation_tower(exponents, weights, backwards):
+    """The tower file of the CI scale step: on each level, every lower
+    generator k acts by x_1 -> x_2 x_1 x_2^-1, or by x_1 -> x_2^-1 x_1 x_2
+    when ``backwards(k)``."""
+    by_level = exponents[::-1]
+    levels = range(2, len(by_level) + 2)
+    names = {j: [f"g{j}x{k + 1}" for k in range(by_level[j - 2])] for j in levels}
+    mono = {}
+    for j in levels:
+        x, c = names[j][0], names[j][1]
+        words = {False: [f"{c} {x} {c}-1"] + names[j][1:], True: [f"{c}-1 {x} {c}"] + names[j][1:]}
+        lower = [g for i in levels if i < j for g in names[i]]
+        mono[f"level_{j}"] = {g: words[backwards(k)] for k, g in enumerate(lower)}
+    gens = [g for j in levels for g in names[j]]
+    return {"exponents": exponents, "generators": {f"level_{j}": names[j] for j in levels},
+            "monodromy": mono, "weights": dict(zip(gens, weights))}
+
+
+# The two towers whose Smith forms blew up: the [3,3,3,3] tower in the slow
+# direction (53 s, all of it in the Smith form of d_4) and the [2,2,2,2,2]
+# tower with the two directions alternating (not done in 500 s).  Each
+# entry holds the tower, the digest of its report as the Smith forms gave
+# it (None where they did not finish), and the residual cells left to the
+# Smith form: the slow tower's d_3 keeps a 1 x 6 row of t^k - 1 (k = 2..6)
+# whose columns hold nothing else, so no row step can split it.
+SLOW_TOWERS = {
+    "slow_3333": (_conjugation_tower([3, 3, 3, 3], [k % 5 - 2 for k in range(12)], lambda k: True),
+                  "62ff0983b10e9e5c7132d431b21e58d88fc5f39993c0198694d7c970f1c80d6f", 6 + 8 * 15),
+    "alternating_22222": (_conjugation_tower([2] * 5, [(-1) ** k for k in range(10)],
+                                             lambda k: k % 2 == 1), None, 0),
+}
+
+
+@pytest.mark.parametrize("name", SLOW_TOWERS)
+def test_slow_towers_split_their_pivots(capsys, tmp_path, monkeypatch, name):
+    """A guard by count, not by wall time: each boundary is reduced once,
+    no Smith form runs on a boundary, and the residuals stay as small as
+    they are."""
+    spec, digest, residual_cells = SLOW_TOWERS[name]
+    reductions = _count_calls(monkeypatch, reduce_boundary)
+    smith = _count_calls(monkeypatch, smith_normal_form)
+    builds = _count_calls(monkeypatch, build_tower_complex)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(spec))
+    assert main(["homology", "tower", "--tower", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    boundaries = builds[0][1].boundaries
+    assert sorted(map(id, (m for m, _ in reductions))) == sorted(map(id, boundaries))
+    assert not [m for m, _ in smith if any(m is d for d in boundaries)]
+    assert sum(m.nrows * m.ncols for m, _ in smith) <= residual_cells
+    assert report["ranks"] == report["poincare_coefficients"]
+    assert report["tor"]["0"] == {"free_rank": 0, "torsion": ["-1 + t"]}
+    if digest:
+        canon = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(canon).hexdigest() == digest

@@ -32,6 +32,7 @@ from .chain import (
     DegreeOutOfRange,
     FreeChainComplex,
     Homology,
+    SpanTooLarge,
     decide_isomorphic,
 )
 from .fox import (

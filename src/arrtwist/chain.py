@@ -2,9 +2,21 @@
 
 A complex is a finite sequence of free-module ranks together with boundary
 matrices ``d_q : C_q -> C_{q-1}``; the constructor refuses data with
-``d_q . d_{q+1} != 0``.  Homology is reported as a free rank plus a torsion
-divisor chain (empty over fields).  Each boundary is eliminated at most once
-and the result cached on the complex: over a field by Gaussian elimination
+``d_q . d_{q+1} != 0``.  Over Q[t,t^-1] that gate runs on integers, by
+Kronecker substitution: each d_q is scaled by an integer that clears its
+denominators and by a power of t that leaves no negative exponent, and each
+entry p becomes p(2^k), with 2^k > ncols(d_q) N_q N_(q+1), N_q the largest
+coefficient 1-norm of an entry of d_q.  No coefficient of an entry of
+d_q . d_(q+1) reaches 2^k in absolute value, and such a polynomial vanishes
+exactly when its value at 2^k does.  Every other ring (Z, Q, F_p,
+Q(zeta_d), and Laurent rings over F_p or Q(zeta_d)), and a complex whose
+packed entries would pass ``_PACK_BITS``, takes matrix products.  A
+Laurent entry whose span passes ``MAX_SPAN`` is refused with
+``SpanTooLarge`` first.
+
+Homology is reported as a free rank plus a torsion divisor chain (empty
+over fields).  Each boundary is eliminated at most once and the result
+cached on the complex: over a field by Gaussian elimination
 (``linalg.rank``); over a PID (Z, K[t,t^-1]) by ``linalg.reduce_boundary``,
 whose divisor count is the rank and whose non-unit divisors are the torsion.
 It splits off every pivot that divides its row and column and leaves only
@@ -24,12 +36,23 @@ from __future__ import annotations
 import json
 from numbers import Real
 
-from .rings import Ring, MixedRings, ring_from_string
+from .rings import QQ, LaurentRing, MixedRings, Refusal, Ring, ring_from_string
 from .linalg import Matrix, rank, reduce_boundary
+
+# Division with remainder walks every exponent of its operands, so a Laurent
+# boundary entry of larger span is refused before any work.
+MAX_SPAN = 2**20
+# The d . d = 0 gate takes Laurent products instead of packed integers when
+# a packed entry would be wider than this many bits.
+_PACK_BITS = 2**16
 
 
 class DegreeOutOfRange(IndexError):
     pass
+
+
+class SpanTooLarge(Refusal):
+    """A Laurent boundary entry whose span passes ``MAX_SPAN``."""
 
 
 class Homology:
@@ -120,8 +143,13 @@ class FreeChainComplex:
                 )
             if d.ring != ring:
                 raise MixedRings("boundary over a different ring")
+        packed = _packed(ring, self.boundaries)
         for q in range(1, len(self.boundaries)):
-            if not (self.boundaries[q - 1] * self.boundaries[q]).is_zero():
+            if packed is None:
+                bad = not (self.boundaries[q - 1] * self.boundaries[q]).is_zero()
+            else:
+                bad = _packed_nonzero(packed[q - 1], packed[q])
+            if bad:
                 raise ValueError(f"d_{q} . d_{q+1} != 0: not a chain complex")
         self._eliminations = [None] * len(self.boundaries)
 
@@ -239,6 +267,65 @@ class FreeChainComplex:
             rows = [vals[i * nc : (i + 1) * nc] for i in range(nr)]
             bnds.append(Matrix(ring, rows, nr, nc))
         return cls(ring, ranks, bnds)
+
+
+def _packed(ring, boundaries):
+    """The boundaries as sparse rows of ``(column, p(2^k))`` for the
+    d . d = 0 gate (see the module docstring), or None where it takes
+    matrix products; ``SpanTooLarge`` on an entry of span past ``MAX_SPAN``
+    over any Laurent ring.  Products take over when k times the exponent
+    range of a boundary passes ``_PACK_BITS``.
+    """
+    if not isinstance(ring, LaurentRing):
+        return None
+    over_q = ring.base == QQ
+    found = []  # per boundary: lowest and highest exponent, denominator scale, N
+    for q, d in enumerate(boundaries, start=1):
+        cs = [x.coeffs for row in d.rows for x in row if x.coeffs]
+        lo, hi = min(map(min, cs), default=0), max(map(max, cs), default=0)
+        if hi - lo > MAX_SPAN:  # else no entry's span can pass it
+            span = max(max(c) - min(c) for c in cs)
+            if span > MAX_SPAN:
+                raise SpanTooLarge(f"an entry of d_{q} has span {span}, past MAX_SPAN = {MAX_SPAN}")
+        if over_q:
+            norms = [sum(map(abs, c.values())) for c in cs]
+            scale = 1
+            if type(sum(norms)) is not int:  # a Fraction coefficient: clear denominators
+                for v in (v for c in cs for v in c.values()):
+                    if scale % v.denominator:
+                        scale *= v.denominator
+            found.append((lo, hi, scale, int(max(norms, default=0) * scale)))
+    if not over_q or len(boundaries) < 2:
+        return None
+    k = max((d.ncols * a[3] * b[3]).bit_length() for d, a, b in zip(boundaries, found, found[1:]))
+    if any(k * (hi - lo + 1) > _PACK_BITS for lo, hi, _, _ in found):
+        return None
+    packed = []
+    for d, (lo, _, scale, _) in zip(boundaries, found):
+        rows = []
+        for row in d.rows:
+            out = []
+            for j, x in enumerate(row):
+                if x.coeffs:
+                    p = 0
+                    for e, v in x.coeffs.items():
+                        p += (v if scale == 1 else v.numerator * (scale // v.denominator)) << k * (e - lo)
+                    out.append((j, p))
+            rows.append(out)
+        packed.append(rows)
+    return packed
+
+
+def _packed_nonzero(left, right):
+    """Whether the product of two packed boundaries has a nonzero entry."""
+    for row in left:
+        acc = {}
+        for m, a in row:
+            for j, b in right[m]:
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        if any(acc.values()):
+            return True
+    return False
 
 
 def extend_by_free(ranks, boundaries, twisted, slots, block, top=None):

@@ -441,6 +441,8 @@ def build_tower_complex(tw: TowerSpec, ch: TowerCharacter) -> FreeChainComplex:
     ranks, bnds = ev.pieces(tw.top_level(), ())
     try:
         return FreeChainComplex(ev.ring, ranks, bnds)
+    except Refusal:  # e.g. SpanTooLarge: a budget, not an inconsistent tower
+        raise
     except ValueError as e:  # backstop: check_tower should refuse first
         raise TowerInvalid(f"assembled boundaries are not a complex: {e}") from e
 

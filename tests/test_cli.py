@@ -538,6 +538,13 @@ class TestRefusals:
         boolean = write(tmp_path, "b.json", {"r": 3, "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
         generic = write(tmp_path, "a.json", GENERIC5)
         tw = write(tmp_path, "t.json", {"exponents": [2, 1]})
+        six = write(tmp_path, "six.json", {"r": 3, "forms": [[1, i, i * i] for i in range(6)]})
+        huge = write(tmp_path, "huge.json",
+                     {"ring": "laurent", "ranks": [1, 1], "boundaries": [["-1 + t^1000000000"]]})
+        tower = write(tmp_path, "tower.json", {
+            "exponents": [2, 1],
+            "generators": {"level_2": ["y1"], "level_3": ["x1", "x2"]},
+            "monodromy": {"level_3": {"y1": ["x1", "x1 x2 x1-1"]}}})
         cases = [
             (arrtwist.NotEssential, ("arr", "betti", "--arrangement", non_essential)),
             (arrtwist.GirthTooSmall,
@@ -551,6 +558,11 @@ class TestRefusals:
             (arrtwist.RingTooLarge,
              ("homology", "koszul", "--arrangement", generic, "--weights=-4,1,1,1,1",
               "--ring", f"F{2**61 - 1}")),
+            (arrtwist.SpanTooLarge, ("chain", "iso", "--a", huge, "--b", huge)),
+            (arrtwist.SpanTooLarge,
+             ("homology", "koszul", "--arrangement", six, "--weights=1000000000,1,1,1,1")),
+            (arrtwist.SpanTooLarge,
+             ("homology", "tower", "--tower", tower, "--weights=y1=1000000000,x1=1,x2=1")),
         ]
         exported = {
             c for c in vars(arrtwist).values()

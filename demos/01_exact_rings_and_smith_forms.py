@@ -2,8 +2,9 @@
 
 The library works over Z, Q, prime fields, cyclotomic fields Q(zeta_d), and
 Laurent polynomial rings K[t, t^-1].  Matrices over any of these support
-exact rank computation (Gaussian elimination over fields, the divisor count
-of the Smith form over Z and K[t, t^-1]) and, over the Euclidean rings,
+exact rank computation (one elimination for every ring: pivots that divide
+their row and column split off, which over a field is every pivot, and any
+rest goes to the Smith form) and, over the Euclidean rings,
 Smith normal form with optional transform tracking -- the engine behind
 every homology computation in the package.
 """

@@ -16,12 +16,13 @@ Laurent entry whose span passes ``MAX_SPAN`` is refused with
 
 Homology is reported as a free rank plus a torsion divisor chain (empty
 over fields).  Each boundary is eliminated at most once and the result
-cached on the complex: over a field by Gaussian elimination
-(``linalg.rank``); over a PID (Z, K[t,t^-1]) by ``linalg.reduce_boundary``,
-whose divisor count is the rank and whose non-unit divisors are the torsion.
-It splits off every pivot that divides its row and column and leaves only
-the rest to a Smith form; the complexes come from minimal CW structures, so
-their boundaries vanish at t = 1 and nearly every pivot splits.  Once
+cached on the complex, by one elimination for every ring:
+``linalg.reduce_boundary``, whose divisor count is the rank and whose
+non-unit divisors are the torsion.  It splits off every pivot that divides
+its row and column and leaves only the rest to a Smith form.  Over a field
+(Q, F_p, Q(zeta_d)) every pivot is a unit and splits; over a PID (Z,
+K[t,t^-1]) the complexes come from minimal CW structures, so their
+boundaries vanish at t = 1 and nearly every pivot splits.  Once
 d_(q-1) is eliminated, d_q is reduced without the rows its split pivots
 pair off (see ``FreeChainComplex._elimination``).  Two complexes over the
 same PID with equal rank sequences are isomorphic as
@@ -37,7 +38,9 @@ import json
 from numbers import Real
 
 from .rings import QQ, LaurentRing, MixedRings, Refusal, Ring, ring_from_string
-from .linalg import Matrix, rank, reduce_boundary
+# ``rank`` is no longer called here but stays importable as ``chain.rank``:
+# the benchmark's tracer self-test (bench/test_bench.py) checks that binding.
+from .linalg import Matrix, rank, reduce_boundary  # noqa: F401
 
 # Division with remainder walks every exponent of its operands, so a Laurent
 # boundary entry of larger span is refused before any work.
@@ -169,9 +172,9 @@ class FreeChainComplex:
         """(rank, non-unit Smith divisors, split columns) of d_q, computed
         on first use.
 
-        Over a field the divisors are empty and the rank is Gaussian.  Over
-        a PID :func:`~arrtwist.linalg.reduce_boundary` gives both, and the
-        columns whose pivots it split off.  Splitting the pivot p = d_q[b][a]
+        :func:`~arrtwist.linalg.reduce_boundary` gives both, and the columns
+        whose pivots it split off, on every ring; over a field every pivot
+        splits and no divisor is torsion.  Splitting the pivot p = d_q[b][a]
         is a change of basis x -> x - (d_q[b][x] / p) * a of C_q; since
         d_q . d_(q+1) = 0, row a of d_(q+1) is zero in the new basis.  So
         once d_q is eliminated, d_(q+1) is reduced without the rows of
@@ -182,15 +185,11 @@ class FreeChainComplex:
             return 0, (), frozenset()
         found = self._eliminations[q - 1]
         if found is None:
-            d = self.boundaries[q - 1]
-            if self.ring.is_field:
-                found = (rank(d), (), frozenset())
-            else:
-                below = self._eliminations[q - 2] if q > 1 else None
-                divisors, split = reduce_boundary(d, below[2] if below else frozenset())
-                torsion = tuple(x for x in divisors if not self.ring.is_unit(x))
-                found = (len(divisors), torsion, split)
-            self._eliminations[q - 1] = found
+            below = self._eliminations[q - 2] if q > 1 else None
+            divisors, split = reduce_boundary(
+                self.boundaries[q - 1], below[2] if below else frozenset())
+            torsion = tuple(x for x in divisors if not self.ring.is_unit(x))
+            found = self._eliminations[q - 1] = (len(divisors), torsion, split)
         return found
 
     def boundary_rank(self, q) -> int:

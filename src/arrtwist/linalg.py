@@ -1,15 +1,14 @@
 """Dense exact linear algebra over the rings of :mod:`arrtwist.rings`.
 
-One elimination per kind of ring.  Over a field, :func:`rank` is Gaussian
-elimination with one inverse per pivot.  Over Z and K[t,t^-1] every rank,
-divisor chain and kernel comes from the Smith form: :func:`rank` there is
-the divisor count of :func:`smith_normal_form`.  A chain complex's
-boundaries go through :func:`reduce_boundary` instead, which splits off
-each pivot that divides its row and column on sparse rows and leaves only
-the rest to the Smith form.  Smith normal forms over a
-Euclidean ring alternate row echelon passes on the working array and on its
-transpose until it is diagonal (Kannan and Bachem), then fix the divisor
-chain once on the diagonal; divisors are reported as canonical associates
+One elimination for every ring.  :func:`reduce_boundary` splits off, on
+sparse rows, each pivot that divides its row and column and leaves only the
+rest to the Smith form; every rank and every chain-complex divisor comes
+from it, over Q, F_p, Q(zeta_d), Z and K[t,t^-1] alike.  Over a field every
+nonzero entry is a unit, so every pivot splits, with one inverse per pivot,
+and no Smith form runs.  Smith normal forms over a Euclidean ring
+alternate row echelon passes on the working array and on its transpose
+until it is diagonal (Kannan and Bachem), then fix the divisor chain once
+on the diagonal; divisors are reported as canonical associates
 (positive over Z, valuation-0 monic over K[t,t^-1]).  Each elementary step
 is written once, as a row step: column steps are row steps on the
 transposed working array, which is transposed once per pass.  The optional
@@ -199,11 +198,10 @@ class Matrix:
         if n != self.ncols:
             raise ValueError("only square matrices can be inverted")
         R = self.ring
-        one = R.one
         a = [r + e for r, e in zip(self.rows, Matrix.identity(R, n).rows)]
         for c in range(n):
             live = [i for i in range(c, n) if a[i][c]]
-            if not live or not R.is_unit(_column_step(R, a, live, c, c, n, one)):
+            if not live or not R.is_unit(_column_step(R, a, live, c, c, n)):
                 raise ZeroDivisionError("matrix is not invertible over its ring")
             _scale_row(a, c, R.unit_inverse(a[c][c]))
             prow = a[c]
@@ -225,72 +223,40 @@ class Matrix:
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the fraction field.
-
-    Over a field: Gaussian elimination, one ``unit_inverse`` per pivot and
-    one multiply-subtract per entry cleared; rows already zero in the pivot
-    column are skipped.  Over Z and K[t,t^-1]: the divisor count of the
-    Smith form.
-    """
-    R = m.ring
-    if R.is_field:
-        return _field_rank(R, [r[:] for r in m.rows], m.nrows, m.ncols)
-    return smith_normal_form(m).rank
-
-
-def _field_rank(R, a, nr, nc):
-    """Rank of the rows ``a`` (consumed) over the field ``R``."""
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = next((i for i in range(r, nr) if not R.is_zero(a[i][c])), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        inv = R.unit_inverse(prow[c])
-        cols = [j for j in range(c + 1, nc) if not R.is_zero(prow[j])]
-        for i in range(r + 1, nr):
-            row = a[i]
-            if R.is_zero(row[c]):
-                continue
-            f = row[c] * inv
-            for j in cols:
-                row[j] = row[j] - f * prow[j]
-        r += 1
-    return r
+    """Rank over the fraction field: the divisor count of
+    :func:`reduce_boundary`, on every ring."""
+    return len(reduce_boundary(m)[0])
 
 
 # Row steps on a working array ``a`` (a list of row lists), shared by the
 # Smith form and the inverse.  ``width`` is the number of leading columns
 # that content scaling reads: the matrix block, not the transforms riding
-# beside it; ``one`` is ``R.one``, read once per elimination.
+# beside it.
 
 def _scale_row(a, i, unit):
     a[i] = [unit * x if x else x for x in a[i]]
 
 
-def _normalize_row(R, a, i, width, one):
+def _normalize_row(R, a, i, width):
     u = R.content_unit(a[i][:width])
-    if u != one:
+    if u is not None:
         _scale_row(a, i, u)
 
 
-def _add_row(R, a, dst, src, coef, cols, width, one):
+def _add_row(R, a, dst, src, coef, cols, width):
     """Row ``dst`` += coef * row ``src``; ``cols`` lists the columns where
     row ``src`` is nonzero."""
     row, srow = a[dst], a[src]
     for j in cols:
         row[j] = row[j] + coef * srow[j]
-    _normalize_row(R, a, dst, width, one)
+    _normalize_row(R, a, dst, width)
 
 
 def _support(row):
     return [j for j, x in enumerate(row) if x]
 
 
-def _column_step(R, a, live, t, c, width, one):
+def _column_step(R, a, live, t, c, width):
     """The Euclidean column step of the echelon passes and the inverse.
     ``live`` lists rows of ``a`` that are nonzero in column ``c``.  A
     smallest entry among them becomes the pivot, moved to row ``t``, the
@@ -306,7 +272,7 @@ def _column_step(R, a, live, t, c, width, one):
             return piv
         nz = _support(a[t])
         for i in live:
-            _add_row(R, a, i, t, -R.euclid_divmod(a[i][c], piv)[0], nz, width, one)
+            _add_row(R, a, i, t, -R.euclid_divmod(a[i][c], piv)[0], nz, width)
         live = [t] + [i for i in live if a[i][c]]
 
 
@@ -371,7 +337,6 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
     block of the current orientation.
     """
     R = m.ring
-    one = R.one
     nr, nc = m.nrows, m.ncols
     a = [r[:] for r in m.rows]
     if transforms:
@@ -396,7 +361,7 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
             if not live:
                 continue
             t = rows[k]
-            piv = _column_step(R, a, live, t, c, nc, one)
+            piv = _column_step(R, a, live, t, c, nc)
             can = R.canonical(piv)
             if can != piv:
                 _scale_row(a, t, R.exact_div(can, piv))
@@ -422,11 +387,11 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
         return rk
 
     for i in range(nr):
-        _normalize_row(R, a, i, nc, one)
+        _normalize_row(R, a, i, nc)
     t = diagonalize(range(nr), range(nc))
 
     def gcd_lcm(i, j):
-        _add_row(R, a, i, j, one, _support(a[j]), nc, one)
+        _add_row(R, a, i, j, R.one, _support(a[j]), nc)
         diagonalize([i, j], [i, j])
         return a[i][i], a[j][j]
 
@@ -446,7 +411,7 @@ def smith_normal_form(m: Matrix, transforms: bool = False) -> SmithForm:
 
 def reduce_boundary(m: Matrix, drop=frozenset()):
     """(divisor chain, split columns) of ``m`` with the rows ``drop``
-    deleted, over Z or K[t,t^-1].
+    deleted, over any ring of :mod:`arrtwist.rings`.
 
     An entry p = m[b][a] that divides every entry of its row and its column
     splits off: exact row steps clear column a, column steps would then
@@ -455,7 +420,9 @@ def reduce_boundary(m: Matrix, drop=frozenset()):
     smallest first, and among equals the one whose column had the fewest
     entries when it was queued (the fewest rows to clear); one that fails
     the test is skipped, and is tried again only when a row step changes
-    it.  What is left when none qualifies goes to :func:`smith_normal_form`,
+    it.  A unit pivot always qualifies: its quotients are products with one
+    inverse, so over a field every pivot splits with one inverse each.  What
+    is left when none qualifies goes to :func:`smith_normal_form`,
     and the (gcd, lcm) pass fixes the divisor chain of the split pivots and
     the residual divisors.  Rows are held sparse, as ``{column: entry}``,
     inside this routine only.
@@ -482,13 +449,18 @@ def reduce_boundary(m: Matrix, drop=frozenset()):
         if prow is None or a not in prow or size(prow[a]) != s:
             continue  # row b split off, or entry (b, a) changed since
         p = prow[a]
-        if not R.is_unit(p) and any(R.euclid_divmod(x, p)[1] for x in prow.values()):
+        if R.is_unit(p):
+            inv = R.unit_inverse(p)
+            quotients = [(i, rows[i][a] * inv) for i in cols[a] if i != b]
+        elif any(R.euclid_divmod(x, p)[1] for x in prow.values()):
             continue
-        quotients = [(i, R.euclid_divmod(rows[i][a], p)) for i in cols[a] if i != b]
-        if any(r for _, (_, r) in quotients):
-            continue
+        else:
+            divided = [(i, R.euclid_divmod(rows[i][a], p)) for i in cols[a] if i != b]
+            if any(r for _, (_, r) in divided):
+                continue
+            quotients = [(i, f) for i, (f, _) in divided]
         rest = [(j, x) for j, x in prow.items() if j != a]
-        for i, (f, _) in quotients:
+        for i, f in quotients:
             row = rows[i]
             del row[a]
             for j, x in rest:

@@ -23,7 +23,8 @@ complex) once.  Two routes give each class's value:
   divides (the Phi_e rule).  H_0 = Q[s, s^-1]/(s - 1) for n >= 1, so the
   Tor term counts at e = 1 only;
 * the cyclotomic rank: the complex specialized by s -> zeta_e into
-  Q(zeta_e), where H_1's rank comes from Gaussian elimination.
+  Q(zeta_e), where H_1's rank comes from the one elimination of every
+  ring, ``linalg.reduce_boundary``; every pivot there is a unit.
 
 Each class is a named check of ``koszul.require_agreement``: a class whose
 two values differ raises ``Disagreement``.

@@ -685,8 +685,9 @@ class Ring:
         while not self.is_zero(b):
             r = self.euclid_divmod(a, b)[1]
             # keep remainders primitive: gcd is only defined up to units
-            if not self.is_zero(r):
-                r = self.content_unit([r]) * r
+            u = self.content_unit([r])
+            if u is not None:
+                r = u * r
             a, b = b, r
         return self.canonical(a)
 
@@ -698,8 +699,9 @@ class Ring:
 
     def content_unit(self, values):
         """A unit u such that scaling ``values`` by u keeps coefficients
-        small (used to control growth in elimination).  Default: 1."""
-        return self.one
+        small (used to control growth in elimination), or None when no
+        scaling is needed.  Default: None."""
+        return None
 
     def __eq__(self, other):
         return self is other or (type(self) is type(other) and self.__dict__ == other.__dict__)
@@ -927,11 +929,11 @@ class LaurentRing(Ring):
                             nums.append(f.numerator)
                             dens.append(f.denominator)
                 else:
-                    return self.one  # e.g. prime-field base: nothing to do
+                    return None  # e.g. prime-field base: nothing to do
         if not nums:
-            return self.one
+            return None
         g, l = gcd(*nums), lcm(*dens)
-        return self.coerce(Fraction(l, g)) if l != g else self.one
+        return self.coerce(Fraction(l, g)) if l != g else None
 
 
 ZZ = IntegerRing()

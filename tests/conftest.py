@@ -8,8 +8,9 @@ from arrtwist.tower import TowerSpec, TowerCharacter
 
 
 # -- reference routes: the fraction-free (Bareiss) rank, and flats by
-# closures of ranked index sets.  The library ranks over Z and K[t,t^-1] by
-# the Smith form and finds flats without ranking, so these stay independent.
+# closures of ranked index sets.  The library ranks over every ring by one
+# split-pivot reduction (``linalg.reduce_boundary``) and finds flats without
+# ranking, so these stay independent.
 
 
 def bareiss(R, a, nr, nc):

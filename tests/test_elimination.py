@@ -1,18 +1,20 @@
 """One cached elimination per boundary.
 
-``FreeChainComplex`` ranks a boundary over Z and K[t,t^-1] by the divisor
+``FreeChainComplex`` ranks a boundary over every ring by the divisor
 count of ``linalg.reduce_boundary``; the fraction-free Bareiss rank of
 ``conftest`` and fresh Smith forms are the independent routes these tests
 hold it against, on Koszul, tower, Alexander and scrambled complexes over
-four rings.  The call-count tests pin the reuse: no command reduces the
-same boundary twice, builds the Z^n complex twice or past the degrees it
-reads, or validates a tower twice, and the towers whose Smith forms blew up
-leave at most small residuals.
+Z, three Laurent rings and three fields.  The call-count tests pin the
+reuse: no command reduces the same boundary twice, builds the Z^n complex
+twice or past the degrees it reads, or validates a tower twice, the towers
+whose Smith forms blew up leave at most small residuals, and field
+complexes split every pivot and leave no residual.
 """
 
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from math import comb, gcd
 
 import pytest
@@ -35,6 +37,10 @@ from arrtwist.tower import boolean_pi_rank, build_tower_complex, check_tower
 from conftest import bareiss_rank, conjugated_commutators, random_tower, random_tower_character
 
 L = LaurentRing(QQ)
+LQ, LF5, LC3 = (ring_from_string(s) for s in ("laurent", "laurent:F5", "laurent:cyclotomic:3"))
+F5, C5 = ring_from_string("F5"), ring_from_string("cyclotomic:5")
+FIELDS = [QQ, F5, C5]
+REDUCTION_RINGS = [ZZ, LQ, LF5, LC3, *FIELDS]
 
 
 def random_weights(rnd, n, g):
@@ -104,13 +110,22 @@ class TestRankRoutes:
             cx = build_koszul(UnitAssignment(ZZ, units))
             assert_routes_agree(cx)
 
-    def test_field_complex_keeps_bareiss(self, monkeypatch):
-        cx = build_koszul(UnitAssignment(QQ, [1, 1, 1]))
-        monkeypatch.setattr(
-            "arrtwist.chain.reduce_boundary",
-            lambda m, drop: pytest.fail("Smith form over a field"),
-        )
-        assert [cx.homology(q).free_rank for q in range(4)] == [1, 3, 3, 1]
+    @pytest.mark.parametrize("R", FIELDS, ids=lambda R: R.name)
+    def test_field_complexes_take_the_same_reduction(self, rnd, monkeypatch, R):
+        """Over a field every nonzero entry is a unit, so each boundary is
+        reduced once, by the routine of every other ring, every pivot splits
+        and no Smith form runs."""
+        reductions = _count_calls(monkeypatch, reduce_boundary)
+        smith = _count_calls(monkeypatch, smith_normal_form)
+        cxs = [build_koszul(UnitAssignment(R, [R.one] * 3)),
+               build_koszul(UnitAssignment(R, random_units(rnd, R, 4)))]
+        homology = [[cx.homology(q) for q in range(cx.top + 1)] for cx in cxs]
+        assert [h.free_rank for h in homology[0]] == [1, 3, 3, 1]
+        assert all(not h.torsion for hs in homology for h in hs)
+        assert sorted(map(id, (m for m, _ in reductions))) == sorted(
+            id(d) for cx in cxs for d in cx.boundaries)
+        assert all(len(split) == len(divisors) for _, (divisors, split) in reductions)
+        assert not smith
 
     def test_cokernel(self):
         cx = FreeChainComplex(ZZ, [2, 1], [Matrix(ZZ, [[2], [0]])])
@@ -319,28 +334,38 @@ def test_seed_flag_is_gone():
 
 # -- the split-pivot reduction against the Smith form ----------------------
 
-LQ, LF5, LC3 = (ring_from_string(s) for s in ("laurent", "laurent:F5", "laurent:cyclotomic:3"))
-REDUCTION_RINGS = [ZZ, LQ, LF5, LC3]
-
 
 def from_laurent(R):
     """The ring map Z[t,t^-1] -> R on integer-coefficient entries: t -> t
-    over a Laurent ring, t -> -1 over Z."""
+    over a Laurent ring, t -> -1 over Z, t -> zeta over Q(zeta_5) and
+    t -> 2 over Q and F_5."""
     if R is ZZ:
         return lambda x: sum(c * (-1) ** (e % 2) for e, c in x.coeffs.items())
+    if R is C5:
+        return lambda x: sum((R.zeta(e) * c for e, c in x.coeffs.items()), R.zero)
+    if R.is_field:
+        return lambda x: sum((R.coerce(c * Fraction(2) ** e) for e, c in x.coeffs.items()), R.zero)
     return lambda x: sum((R.t(e) * c for e, c in x.coeffs.items()), R.zero)
 
 
 def random_units(rnd, R, n):
     if R is ZZ:
         return [rnd.choice([1, -1]) for _ in range(n)]
+    if R is C5:
+        return [R.zeta(rnd.randint(0, 4)) for _ in range(n)]
+    if R.is_field:
+        return [R.coerce(rnd.choice([1, -1, 2, Fraction(1, 2)])) for _ in range(n)]
     return [R.t(rnd.randint(-2, 2)) for _ in range(n)]
 
 
 def small_elements(R):
-    """Non-unit pivots and unimodular step coefficients over R."""
+    """Non-unit pivots and unimodular step coefficients over R; over a
+    field every nonzero element is a unit, so the pivots are units too."""
     if R is ZZ:
         return [2, 3, 4, 6, -9], [1, -1, 2, -3]
+    if R.is_field:
+        z = R.zeta() if R is C5 else R.coerce(2)
+        return [R.one, -z, z * z - R.one, R.coerce(Fraction(3, 2))], [R.one, -R.one, z, R.one - z]
     t, one = R.t(), R.one
     return [t - 1, t + 1, t * t - 1, (t - 1) * (t - 1), t * t + t + one], [one, -one, t, one - t]
 
@@ -429,14 +454,16 @@ class TestReduceBoundary:
 
     def test_scrambled_pivots_leave_residuals(self, rnd, monkeypatch):
         """Some scrambled entries fail the divisibility test, so the
-        residual Smith form runs, and the chains still match."""
+        residual Smith form runs, and the chains still match.  Over a field
+        every pivot is a unit and splits, so no residual is left."""
         residuals = _count_calls(monkeypatch, smith_normal_form)
         for R in REDUCTION_RINGS:
             for _ in range(4):
                 cx = scrambled_complex(rnd, R)
                 for q in range(1, cx.top + 1):
                     assert reduce_boundary(cx.boundary(q))[0] == smith_normal_form(cx.boundary(q)).divisors
-        assert {m.ring.name for m, _ in residuals} == {R.name for R in REDUCTION_RINGS}
+        assert {m.ring.name for m, _ in residuals} == {
+            R.name for R in REDUCTION_RINGS if not R.is_field}
 
     def test_a_row_the_pivot_does_not_divide_stays(self):
         # 2 divides its column but not its row: nothing splits, and the
@@ -535,3 +562,24 @@ def test_slow_towers_split_their_pivots(capsys, tmp_path, monkeypatch, name):
     if digest:
         canon = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(canon).hexdigest() == digest
+
+
+def test_field_koszul_at_scale_splits_every_pivot(capsys, tmp_path, monkeypatch):
+    """The CI field scale step as a guard by work: complete homology over
+    Q(zeta_12) at r = 6, n + 1 = 12 (weights 1..11) reduces each boundary
+    once, runs no Smith form, and gives the closed form: H_0..H_4 = 0 and
+    H_5 free of rank C(10, 5) = 252."""
+    reductions = _count_calls(monkeypatch, reduce_boundary)
+    smith = _count_calls(monkeypatch, smith_normal_form)
+    builds = _count_calls(monkeypatch, build_koszul)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"r": 6, "forms": [[i**k for k in range(6)] for i in range(12)]}))
+    assert main(["homology", "koszul", "--arrangement", str(path), "--full",
+                 "--weights", ",".join(map(str, range(1, 12))), "--ring", "cyclotomic:12"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    boundaries = builds[0][1].boundaries
+    assert sorted(map(id, (m for m, _ in reductions))) == sorted(map(id, boundaries))
+    assert not smith
+    want = {str(q): {"free_rank": 0, "torsion": []} for q in range(5)}
+    want["5"] = {"free_rank": comb(10, 5), "torsion": []}
+    assert report["homology"] == want

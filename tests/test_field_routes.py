@@ -1,7 +1,8 @@
 """The field-path routes held against the routes they replaced.
 
-``linalg.rank`` runs Gaussian elimination over fields (one inverse per
-pivot), ``alexander_complex`` builds each column of d_2 in one prefix pass,
+``linalg.rank`` runs the one elimination of every ring,
+``linalg.reduce_boundary``, which over a field splits every pivot with one
+inverse each; ``alexander_complex`` builds each column of d_2 in one prefix pass,
 and ``Arrangement`` works with primitive integer forms, which the
 index-set reference route of ``conftest`` ranks over Z.  Each is compared
 here with an independent route: the Smith form, the Fox derivative

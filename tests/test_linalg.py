@@ -427,6 +427,23 @@ class TestMatrixInverse:
         for m in cases:
             assert m * m.inverse() == Matrix.identity(m.ring, m.nrows)
 
+    def test_rows_needing_no_rescaling_build_no_one(self, monkeypatch, rnd):
+        """``content_unit`` says "no rescaling" with None, so a row step
+        builds no ``LaurentRing.one`` to compare with: the inverse builds
+        one, for its identity block, and the Smith form none."""
+        built = []
+        one = LaurentRing.one
+        monkeypatch.setattr(LaurentRing, "one", property(lambda R: built.append(R) or one.fget(R)))
+        for m in invertible_cases(rnd):
+            if isinstance(m.ring, LaurentRing):
+                built.clear()
+                inv = m.inverse()
+                assert len(built) == 1, m
+                built.clear()
+                smith_normal_form(m)
+                assert not built, m
+                assert m * inv == Matrix.identity(m.ring, m.nrows)
+
     def test_non_unit_determinant(self):
         L = LaurentRing(QQ)
         t = L.t()

@@ -44,7 +44,8 @@ from .chain import _as_count
 from .fox import GroupPresentation, NotMeridianMarked, alexander_complex
 from .koszul import _check, require_agreement
 from .rings import (
-    QQ, CyclotomicElement, CyclotomicField, LaurentPoly, LaurentRing, cyclotomic_poly,
+    MAX_CYCLOTOMIC_ORDER, QQ, CyclotomicElement, CyclotomicField, LaurentPoly, LaurentRing,
+    RingTooLarge, cyclotomic_poly,
 )
 
 
@@ -80,17 +81,17 @@ class MilnorSpectrum:
 
 def _at_root_of_unity(cx, e):
     """The complex ``cx`` over Q[s, s^-1] specialized by s -> zeta_e into
-    Q(zeta_e): the coefficient of s^k lands on zeta_e^(k mod e), so the
-    image of each entry costs integer additions and one reduction modulo
-    Phi_e."""
+    Q(zeta_e): the image of an entry is the sum of c times the power-basis
+    vector of zeta_e^(k mod e) over its terms c s^k, negative k included,
+    so it costs multiplications and additions of coefficients and no
+    polynomial division.  Every zero entry maps to one shared zero."""
+    K = CyclotomicField(e)
+    zero = K.zero
 
     def image(p):
-        v = [0] * e
-        for k, c in p.coeffs.items():
-            v[k % e] += c
-        return CyclotomicElement(e, v)
+        return CyclotomicElement._of_powers(e, p.coeffs.items()) if p else zero
 
-    return cx.tensor_substitute(CyclotomicField(e), image)
+    return cx.tensor_substitute(K, image)
 
 
 def _vanishes_at_root(delta, phi):
@@ -115,6 +116,8 @@ def spectrum_from_presentation(pres: GroupPresentation) -> MilnorSpectrum:
     Each class is one named check, and ``Disagreement`` is raised when the
     two values of any class differ.  H_0 is L/(s - 1) for n >= 1, so only
     e = 1 gains a Tor term, and b_1^0 = n comes out of both routes.
+    The class t = 1 needs Q(zeta_(n+1)), so ``RingTooLarge`` is raised
+    before any work when n + 1 passes ``MAX_CYCLOTOMIC_ORDER``.
 
     >>> pencil = GroupPresentation(2, (), meridian_marked=True)  # pi_1 = F_2
     >>> spectrum_from_presentation(pencil).values
@@ -125,6 +128,11 @@ def spectrum_from_presentation(pres: GroupPresentation) -> MilnorSpectrum:
             "the spectrum needs generators marked as meridians"
         )
     n = pres.n
+    if n + 1 > MAX_CYCLOTOMIC_ORDER:  # the class t = 1 reaches Q(zeta_(n+1))
+        raise RingTooLarge(
+            f"the spectrum of {n} generators needs Q(zeta_{n + 1}), "
+            f"past MAX_CYCLOTOMIC_ORDER = {MAX_CYCLOTOMIC_ORDER}"
+        )
     L = LaurentRing(QQ)
     cx = alexander_complex(pres, [L.t()] * n, L)
     h0, h1 = cx.homology(0), cx.homology(1)

@@ -61,34 +61,25 @@ class RingTooLarge(Refusal):
 
 
 # Ring-descriptor budgets.  Trial division in ``_is_prime`` takes 0.012 s at
-# the largest 32-bit prime and 0.19 s near 2^40.  Arithmetic in Q(zeta_d)
-# grows as phi(d)^3: ``homology koszul`` on four lines takes 1.0 s at
-# d = 256, 6.9 s at the prime 251 and 52 s at the prime 499.
+# the largest 32-bit prime and 0.19 s near 2^40.  A norm inverse in Q(zeta_d)
+# multiplies phi(d) - 1 Galois conjugates, so it grows as phi(d)^3 on dense
+# elements and as phi(d)^2 on sparse ones: ``homology koszul`` on four lines
+# takes 0.04 s at d = 256, 0.23 s at the prime 251 and 0.87 s at the prime
+# 499 (in-process, Python 3.11, 2-core x86 host).
 MAX_PRIME = 2**32
 MAX_CYCLOTOMIC_ORDER = 256
 
 
 # ----------------------------------------------------------------------
 # Polynomials over Q, coefficient tuples ordered low degree -> high.
-# Only what cyclotomic arithmetic needs.
+# Only what ``cyclotomic_poly`` and the public ``CyclotomicElement``
+# constructor need; the field arithmetic reduces through power tables.
 
 def _poly_trim(c):
     c = list(c)
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
 
 
 def _poly_divmod(a, b):
@@ -232,9 +223,14 @@ class CyclotomicElement:
 
     ``coeffs`` has length exactly ``phi(d) = deg Phi_d``; index k holds the
     coefficient of ``zeta_d^k``.  Every integral coefficient is stored as a
-    Python ``int`` and only the others as ``Fraction``; the constructor
-    normalises whatever it is given.  ``Phi_d`` is monic with integer
-    coefficients, so products of integral elements never leave ints.
+    Python ``int`` and only the others as ``Fraction``.  The public
+    constructor normalises whatever it is given, reducing a longer vector
+    modulo ``Phi_d``; the arithmetic builds its results through
+    :meth:`_of` and divides no polynomial.  A product folds each
+    coefficient of degree ``k >= phi(d)`` into the low part through the
+    power-basis vector of ``zeta^(k mod d)`` (:meth:`_of_powers`), whose
+    entries are integers, so products of integral elements never leave
+    ints.
 
     >>> z = CyclotomicElement.zeta(3)
     >>> z * z * z == 1
@@ -260,6 +256,31 @@ class CyclotomicElement:
         ) + (0,) * (phi - len(coeffs))
 
     @classmethod
+    def _of(cls, d, coeffs):
+        """An element on ``coeffs`` as computed: already of length
+        ``phi(d)``, so only integral ``Fraction``s are demoted."""
+        x = object.__new__(cls)
+        x.d = d
+        x.coeffs = tuple([
+            c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in coeffs
+        ])
+        return x
+
+    @classmethod
+    def _of_powers(cls, d, terms, low=None):
+        """``low`` (a list of length ``phi(d)``, consumed; zero when None)
+        plus the sum of ``c * zeta^k`` over the pairs ``(k, c)`` of
+        ``terms``, any integer k: each lands through the power-basis vector
+        of ``zeta^(k mod d)``, so no polynomial is divided."""
+        powers, _, table = _roots_of_unity(d)
+        v = [0] * len(powers[0]) if low is None else low
+        for k, c in terms:
+            if c:
+                for j, x in table[k % d]:
+                    v[j] += c * x
+        return cls._of(d, v)
+
+    @classmethod
     def zeta(cls, d, power=1):
         power %= d
         return cls(d, [0] * power + [1])
@@ -270,25 +291,25 @@ class CyclotomicElement:
                 raise MixedRings(f"Q(zeta_{self.d}) vs Q(zeta_{other.d})")
             return other
         if isinstance(other, (int, Fraction)):
-            return CyclotomicElement(self.d, [other])
+            return CyclotomicElement._of(self.d, [other] + [0] * (len(self.coeffs) - 1))
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return CyclotomicElement(self.d, [x + y for x, y in zip(self.coeffs, o.coeffs)])
+        return CyclotomicElement._of(self.d, [x + y for x, y in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicElement(self.d, [-c for c in self.coeffs])
+        return CyclotomicElement._of(self.d, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return CyclotomicElement(self.d, [x - y for x, y in zip(self.coeffs, o.coeffs)])
+        return CyclotomicElement._of(self.d, [x - y for x, y in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -297,7 +318,16 @@ class CyclotomicElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return CyclotomicElement(self.d, _poly_mul(self.coeffs, o.coeffs))
+        phi = len(self.coeffs)
+        b = [(j, y) for j, y in enumerate(o.coeffs) if y]
+        out = [0] * (2 * phi - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in b:
+                    out[i + j] += x * y
+        # the degrees k >= phi(d) fold in through zeta^(k mod d); a prime d
+        # reaches k = 2d - 4, past d - 1
+        return CyclotomicElement._of_powers(self.d, enumerate(out[phi:], phi), out[:phi])
 
     __rmul__ = __mul__
 
@@ -314,12 +344,12 @@ class CyclotomicElement:
         lead = next((j for j, c in enumerate(coeffs) if c), None)
         if lead is None:
             raise ZeroDivisionError(f"0 has no inverse in Q(zeta_{self.d})")
-        powers, directions = _roots_of_unity(self.d)
+        powers, directions, _ = _roots_of_unity(self.d)
         k = directions.get(_direction(coeffs))
         if k is None:
             return self._norm_inverse()
         scale = Fraction(powers[k][lead]) / coeffs[lead]  # c^-1
-        return CyclotomicElement(self.d, [scale * y for y in powers[-k % self.d]])
+        return CyclotomicElement._of(self.d, [scale * y for y in powers[-k % self.d]])
 
     def _norm_inverse(self):
         """Inverse of a nonzero element through the norm.
@@ -328,21 +358,19 @@ class CyclotomicElement:
         product of the Galois conjugates ``sigma_k(A)`` (``zeta -> zeta^k``)
         over ``1 < k < d`` prime to ``d``.  Then ``N = A * B`` is the norm
         of ``A``, a nonzero integer, and ``self^-1 = den * B / N``; every
-        step before the last division runs on ints."""
+        step before the last division runs on ints.  ``sigma_k`` sends
+        coefficient j to ``zeta^(jk)`` (:meth:`_of_powers`)."""
         d = self.d
         den = lcm(*(c.denominator for c in self.coeffs))
-        A = CyclotomicElement(d, [c * den for c in self.coeffs])
-        B = CyclotomicElement(d, [1])
+        A = CyclotomicElement._of(d, [c * den for c in self.coeffs])
+        B = CyclotomicElement._of(d, _roots_of_unity(d)[0][0])
         for k in range(2, d):
             if gcd(k, d) == 1:
-                image = [0] * d
-                for j, c in enumerate(A.coeffs):
-                    image[j * k % d] += c
-                B = B * CyclotomicElement(d, image)
+                B = B * CyclotomicElement._of_powers(d, [(j * k, c) for j, c in enumerate(A.coeffs)])
         norm = (A * B).coeffs
         if any(norm[1:]):  # the norm of a nonzero element is a nonzero rational
             raise ArithmeticError(f"the norm of {self!r} is not rational")
-        return CyclotomicElement(d, [Fraction(c * den, norm[0]) for c in B.coeffs])
+        return CyclotomicElement._of(d, [Fraction(c * den, norm[0]) for c in B.coeffs])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -394,11 +422,12 @@ def _direction(coeffs):
 
 @lru_cache(maxsize=None)
 def _roots_of_unity(d):
-    """The power-basis vectors of ``zeta_d^0 .. zeta_d^(d-1)``, and a map from
+    """The power-basis vectors of ``zeta_d^0 .. zeta_d^(d-1)``; a map from
     each one's primitive direction to its exponent (``zeta^k`` and
-    ``-zeta^k`` share one; the map keeps the smaller exponent).  Each power
-    is the last one times ``zeta``: a shift, less the monic ``Phi_d`` times
-    the coefficient shifted out."""
+    ``-zeta^k`` share one; the map keeps the smaller exponent); and each
+    vector's nonzero entries as (index, coefficient) pairs, which the
+    arithmetic walks.  Each power is the last one times ``zeta``: a shift,
+    less the monic ``Phi_d`` times the coefficient shifted out."""
     modulus = cyclotomic_poly(d)
     v = (1,) + (0,) * (len(modulus) - 2)
     powers = []
@@ -410,7 +439,8 @@ def _roots_of_unity(d):
     directions = {}
     for k, v in enumerate(powers):
         directions.setdefault(_direction(v), k)
-    return powers, directions
+    terms = [tuple([(j, c) for j, c in enumerate(v) if c]) for v in powers]
+    return powers, directions, terms
 
 
 class LaurentPoly:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arrtwist.fox import FreeWord, GroupPresentation
-from arrtwist.rings import ZZ
+from arrtwist.rings import ZZ, _poly_divmod, cyclotomic_poly
 from arrtwist.tower import TowerSpec, TowerCharacter
 
 
@@ -81,6 +81,34 @@ class IndexSetRanks:
             for i in range(len(self.forms))
             if i in indices or self.rank_of(frozenset(indices) | {i}) == k
         )
+
+
+# -- reference route for Q(zeta_d): the schoolbook product of coefficient
+# vectors, reduced by division with remainder by Phi_d.  The library folds
+# high powers through its table of roots of unity and divides no polynomial.
+
+
+def poly_mul(a, b):
+    """Product of two coefficient vectors, constant term first, trimmed."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def reduce_by_division(coeffs, d):
+    """``coeffs`` modulo Phi_d by division with remainder, padded to length
+    phi(d)."""
+    modulus = cyclotomic_poly(d)
+    rem = _poly_divmod(coeffs, modulus)[1]
+    return rem + (0,) * (len(modulus) - 1 - len(rem))
 
 
 def random_word(rnd, n_gens, max_len=12):

@@ -1,15 +1,18 @@
 import json
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from arrtwist import milnor
+from arrtwist import milnor, rings
 from arrtwist.chain import FreeChainComplex, Homology
+from arrtwist.cli import main
 from arrtwist.fox import FreeWord, GroupPresentation, NotMeridianMarked, alexander_complex
 from arrtwist.koszul import Disagreement
+from arrtwist.linalg import Matrix
 from arrtwist.milnor import MilnorSpectrum, obstruction_report, spectrum_from_presentation
-from arrtwist.rings import QQ, CyclotomicField, LaurentRing
+from arrtwist.rings import QQ, CyclotomicElement, CyclotomicField, LaurentPoly, LaurentRing
 
 from conftest import conjugated_commutators, random_word
 
@@ -89,6 +92,68 @@ class TestSpectrum:
         s1 = spectrum_from_presentation(p1)
         s2 = spectrum_from_presentation(p2)
         assert s1.values == s2.values
+
+
+class TestSpecialization:
+    @pytest.mark.parametrize("e", tuple(range(1, 13)) + (16, 30))
+    def test_table_image_matches_the_reduced_vector(self, rnd, e):
+        """s -> zeta_e through the power table equals the length-e vector of
+        coefficients at k mod e, reduced by the public constructor.  Entries
+        have negative exponents, Fraction coefficients, or are zero."""
+        L = LaurentRing(QQ)
+        rows = []
+        for _ in range(4):
+            row = []
+            for _ in range(5):
+                terms = {}
+                for _ in range(rnd.choice((0, 0, 1, 2, 4))):
+                    terms[rnd.randint(-2 * e - 3, 2 * e + 3)] = rnd.choice(
+                        (1, -1, rnd.randint(-9, 9), Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)))
+                    )
+                row.append(LaurentPoly(QQ, terms))
+            rows.append(row)
+        cx = FreeChainComplex(L, [4, 5], [Matrix(L, rows, 4, 5)])
+        got = milnor._at_root_of_unity(cx, e)
+        assert got.ring == CyclotomicField(e)
+        zeros = set()
+        for row, image_row in zip(rows, got.boundaries[0].rows):
+            for p, image in zip(row, image_row):
+                v = [0] * e
+                for k, c in p.coeffs.items():
+                    v[k % e] += c
+                want = CyclotomicElement(e, v)
+                assert image == want and image.coeffs == want.coeffs, (e, p)
+                assert [type(c) for c in image.coeffs] == [type(c) for c in want.coeffs]
+                if not p:
+                    zeros.add(id(image))
+        assert len(zeros) == 1  # every zero entry is one shared zero
+
+    def test_warm_spectrum_divides_no_polynomial(self, monkeypatch):
+        """Once cyclotomic_poly and the power tables are warm, the spectrum
+        of Z^7 (classes e = 1, 2, 4, 8) reduces nothing by division."""
+        pres = GroupPresentation.commutative(7)
+        want = spectrum_from_presentation(pres).values
+        calls = []
+        divmod_ = rings._poly_divmod
+        monkeypatch.setattr(rings, "_poly_divmod", lambda a, b: calls.append(b) or divmod_(a, b))
+        assert spectrum_from_presentation(pres).values == want == (7,) + (0,) * 7
+        assert not calls
+
+    def test_field_past_the_budget_is_refused_before_any_work(self, monkeypatch, tmp_path, capsys):
+        """n + 1 = 257 generators' worth of Q(zeta_(n+1)) is past
+        MAX_CYCLOTOMIC_ORDER: exit 2, and no Alexander complex is built."""
+        def no_work(*args):
+            raise AssertionError("built a complex for a refused spectrum")
+
+        monkeypatch.setattr(milnor, "alexander_complex", no_work)
+        path = tmp_path / "f256.json"
+        path.write_text(json.dumps({"generators": 256, "relators": [], "meridians": True}))
+        code = main(["milnor", "spectrum", "--presentation", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["error"]) == (2, "RingTooLarge")
+        assert "Q(zeta_257)" in report["reason"] and rings.MAX_CYCLOTOMIC_ORDER == 256
+        with pytest.raises(rings.RingTooLarge):
+            spectrum_from_presentation(GroupPresentation(256, (), meridian_marked=True))
 
 
 class TestObstruction:

@@ -21,6 +21,8 @@ from arrtwist.rings import (
     ring_from_string,
 )
 
+from conftest import poly_mul, reduce_by_division
+
 
 def poly(*coeffs):
     return tuple(Fraction(c) for c in coeffs)
@@ -709,3 +711,53 @@ class TestCyclotomicAgainstReference:
         elapsed = time.perf_counter() - start
         assert x * y == 1
         assert elapsed < 5.0, elapsed
+
+
+DIVISION_DS = tuple(range(1, 41)) + (251, 256)
+
+
+def random_vector(rnd, phi, nonzero):
+    """A coefficient vector of length phi with up to ``nonzero`` positions
+    drawn, each an int or a Fraction (integral ones among them)."""
+    v = [0] * phi
+    for j in rnd.sample(range(phi), min(nonzero, phi)):
+        if rnd.random() < 0.5:
+            v[j] = rnd.randint(-9, 9)
+        else:
+            v[j] = Fraction(rnd.randint(-9, 9), rnd.randint(1, 6))
+    return v
+
+
+class TestPowerTableAgainstDivision:
+    @pytest.mark.parametrize("d", DIVISION_DS)
+    def test_arithmetic_matches_the_division_route(self, rnd, d):
+        """``+``, ``-``, negation, ``*`` and ``inverse`` against the
+        schoolbook product reduced by division by Phi_d
+        (``conftest.reduce_by_division``).  The inverse is checked through
+        the reference product, which pins it down: x * y = 1 there.  At
+        d = 251 and 256 the operands have at most 24 terms, spread up to
+        degree phi(d) - 1, and only 3-term ones are inverted: the
+        reference's Fraction arithmetic on dense vectors, and the norm of
+        a dense element, take seconds there."""
+        phi = len(cyclotomic_poly(d)) - 1
+        one = (1,) + (0,) * (phi - 1)
+        terms = min(phi, 24)
+        for trial in range(8 if phi <= 40 else 2):
+            ra = random_vector(rnd, phi, terms)
+            rb = random_vector(rnd, phi, terms if trial % 2 else 3)
+            a, b = CyclotomicElement(d, ra), CyclotomicElement(d, rb)
+            cases = [
+                (a + b, reduce_by_division([x + y for x, y in zip(ra, rb)], d)),
+                (a - b, reduce_by_division([x - y for x, y in zip(ra, rb)], d)),
+                (-a, reduce_by_division([-x for x in ra], d)),
+                (a * b, reduce_by_division(poly_mul(ra, rb), d)),
+                (b * a, reduce_by_division(poly_mul(ra, rb), d)),
+            ]
+            inverted = [x for x in (a, b) if x and (phi <= 40 or trial % 2 == 0 and x is b)]
+            for x in inverted:
+                y = x.inverse()
+                assert reduce_by_division(poly_mul(x.coeffs, y.coeffs), d) == one, (d, x)
+                cases.append((y, y.coeffs))
+            for got, ref in cases:
+                assert len(got.coeffs) == phi and got.coeffs == ref, (d, ra, rb)
+                assert_cyclo_int_invariant(got)
